@@ -79,10 +79,11 @@ run_config asan-ubsan unit \
     -DVCA_SANITIZE=address,undefined
 
 # Telemetry-overhead gate: the probe hooks compiled in but *disabled*
-# plus the always-on hierarchical cycle-taxonomy accounting must not
-# cost measurable host throughput. Build a configuration with both
-# removed entirely (-DVCA_NTELEMETRY=ON), run the same bench in both
-# trees with the sweep cache disabled, and diff host MIPS.
+# must not cost measurable host throughput. Build a configuration with
+# them removed entirely (-DVCA_NTELEMETRY=ON), run the same bench in
+# both trees with the sweep cache disabled, and diff host MIPS. The
+# cycle taxonomy is the cycle accounting, so it stays in both builds;
+# its partition tests run in the notelemetry tree too.
 if [[ "${CHECK_TELEM_GATE:-1}" != 0 ]] && command -v python3 >/dev/null
 then
     echo "== configure notelemetry =="
@@ -93,6 +94,11 @@ then
           bench_fig6_single_port
     cmake --build "$root/release" -j "$jobs" --target \
           bench_fig6_single_port
+    echo "== notelemetry cycle-taxonomy partition =="
+    cmake --build "$root/notelemetry" -j "$jobs" --target \
+          vca_observability_tests
+    "$root/notelemetry/tests/vca_observability_tests" \
+        --gtest_filter='CycleTaxonomy.*'
     echo "== telemetry-overhead gate =="
     gate="$root/telem-gate"
     rm -rf "$gate"

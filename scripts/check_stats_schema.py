@@ -13,9 +13,9 @@ plot scripts, regression tracking) rely on:
     cpu.cycles exactly (commit_active + mem_stall + exec_stall +
     rename_freelist + window_shift + frontend == cycles);
   - the hierarchical taxonomy partitions cpu.cycles exactly, at the
-    machine level and independently per hardware-thread subtree; an
-    all-zero taxonomy is tolerated (VCA_NTELEMETRY build) because the
-    group is registered either way to keep the schema stable;
+    machine level and independently per hardware-thread subtree (it is
+    updated every cycle in every build, so an all-zero taxonomy under
+    nonzero cycles is an error);
   - intervals (when present) have strictly increasing committed_cum,
     non-negative cycle spans, and a "partial" flag that may only be
     set on the final record;
@@ -190,10 +190,9 @@ def validate(doc, where):
                      f"group")
     else:
         machine = taxonomy_leaf_sum(taxonomy)
-        if machine != 0 and machine != cycles:
+        if machine != cycles:
             fail(errors, f"{where}: taxonomy leaves sum to {machine}, "
-                         f"expected 0 (VCA_NTELEMETRY) or cpu.cycles "
-                         f"== {cycles}")
+                         f"expected cpu.cycles == {cycles}")
         for name, sub in taxonomy.items():
             if not name.startswith("thread"):
                 continue
@@ -202,10 +201,10 @@ def validate(doc, where):
                              f"group")
                 continue
             tsum = taxonomy_leaf_sum(sub, skip_threads=False)
-            if tsum != 0 and tsum != cycles:
+            if tsum != cycles:
                 fail(errors, f"{where}: taxonomy.{name} leaves sum "
-                             f"to {tsum}, expected 0 or cpu.cycles "
-                             f"== {cycles}")
+                             f"to {tsum}, expected cpu.cycles == "
+                             f"{cycles}")
 
     intervals = doc.get("intervals")
     if intervals is not None:
@@ -347,7 +346,7 @@ def selftest():
         += 3
     expect(doc, False, "broken per-thread taxonomy partition")
 
-    # All-zero taxonomy (VCA_NTELEMETRY build) is legal.
+    # No build leaves the taxonomy all-zero any more.
     doc = make_valid_doc()
     tax = doc["cpu"]["cycle_accounting"]["taxonomy"]
 
@@ -358,7 +357,7 @@ def selftest():
             else:
                 group[key] = 0
     zero(tax)
-    expect(doc, True, "all-zero taxonomy (VCA_NTELEMETRY)")
+    expect(doc, False, "all-zero taxonomy")
 
     doc = make_valid_doc()
     doc["intervals"][1]["committed_cum"] = 30

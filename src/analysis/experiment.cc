@@ -68,7 +68,7 @@ runTiming(const std::vector<const isa::Program *> &programs,
     // Non-detailed modes share the exact same parameter construction
     // (preset, ports, ablation overrides, seeding) and hand off here.
     if (opts.mode != SimMode::Detailed)
-        return runSampledTiming(programs, kind, physRegs, opts, params);
+        return runSampledTiming(programs, opts, params);
 
     try {
         // Host-throughput accounting covers the whole detailed
@@ -84,9 +84,9 @@ runTiming(const std::vector<const isa::Program *> &programs,
         const InstCount warmupInsts = cpu.committedTotal.value();
         const Cycle warmupCycles = cpu.currentCycle();
         cpu.resetStats();
-        auto res = cpu.run(opts.measureInsts,
-                           opts.measureInsts * 200 + 100'000,
-                           opts.stopOnFirstThread);
+        const auto res = cpu.run(opts.measureInsts,
+                                 opts.measureInsts * 200 + 100'000,
+                                 opts.stopOnFirstThread);
         const std::chrono::duration<double> hostElapsed =
             std::chrono::steady_clock::now() - hostStart;
         // Telemetry runs carry observer overhead by design; keep them
@@ -97,40 +97,10 @@ runTiming(const std::vector<const isa::Program *> &programs,
                 static_cast<double>(warmupInsts + res.totalInsts),
                 static_cast<double>(warmupCycles + res.cycles));
         }
-        m.ok = true;
-        m.cycles = res.cycles;
-        m.insts = res.totalInsts;
-        m.ipc = res.ipc;
-        m.cpi = res.totalInsts
-            ? static_cast<double>(res.cycles) / res.totalInsts : 0.0;
-        m.dcacheAccesses = res.dcacheAccesses;
-        m.dcacheAccPerInst = res.totalInsts
-            ? res.dcacheAccesses / res.totalInsts : 0.0;
-        m.threadInsts = res.threadInsts;
-        for (InstCount ti : res.threadInsts) {
-            m.threadCpi.push_back(
-                ti ? static_cast<double>(res.cycles) / ti : 0.0);
-            m.threadDcachePerInst.push_back(m.dcacheAccPerInst);
-        }
-        const double cycles = std::max(1.0, double(res.cycles));
-        const auto &ca = cpu.cycleAccounting;
-        m.cycleBreakdown = {
-            {"commit", ca.commitActive.value() / cycles},
-            {"mem", ca.memStall.value() / cycles},
-            {"exec", ca.execStall.value() / cycles},
-            {"rename", ca.renameFreeList.value() / cycles},
-            {"window", ca.windowShift.value() / cycles},
-            {"frontend", ca.frontendStall.value() / cycles},
-        };
-        // Raw counters the ablation benches drill into. Only present
-        // on configurations that register them (the VCA renamer).
-        const auto *group = static_cast<const stats::StatGroup *>(&cpu);
-        for (const char *name :
-             {"stalls_table_conflict", "stalls_astq"}) {
-            if (const auto *s = dynamic_cast<const stats::Scalar *>(
-                    group->find(name)))
-                m.counters.emplace_back(name, s->value());
-        }
+        // A one-interval accumulation: sums over zeros are exact.
+        SampleAccumulator acc;
+        acc.add(cpu, res);
+        acc.fill(m);
         if (analyzer) {
             m.counters.emplace_back("fills_compulsory",
                                     analyzer->fillsCompulsory.value());

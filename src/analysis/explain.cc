@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -16,6 +17,15 @@ namespace vca::analysis {
 
 namespace {
 
+using CA = cpu::CycleAccounting;
+
+/** vca-explain's name for each flat bucket, in CA::Bucket order. */
+constexpr const char *kCoarseName[] = {
+    "retiring",     "mem_stall",    "exec_stall",
+    "rename_stall", "window_shift", "frontend_bound",
+};
+static_assert(std::size(kCoarseName) == CA::NumBuckets);
+
 /**
  * The common coarse bucketing both run formats can be projected onto:
  * the six flat commit-stall buckets plus idle. Used whenever the two
@@ -25,22 +35,14 @@ namespace {
 const char *
 coarseNameFor(const std::string &leaf)
 {
-    static const std::map<std::string, const char *> kMap = {
-        {"retiring", "retiring"},
-        {"idle", "idle"},
-        {"frontend_bound.icache", "frontend_bound"},
-        {"frontend_bound.fetch", "frontend_bound"},
-        {"bad_speculation.recovery", "window_shift"},
-        {"backend_memory.window_trap", "window_shift"},
-        {"backend_core.exec", "exec_stall"},
-        {"backend_memory.fill_latency", "exec_stall"},
-        {"backend_core.rename_freelist", "rename_stall"},
-        {"backend_memory.spill_stall", "rename_stall"},
-        {"backend_memory.dcache", "mem_stall"},
-        {"backend_memory.store_drain", "mem_stall"},
-    };
-    auto it = kMap.find(leaf);
-    return it == kMap.end() ? leaf.c_str() : it->second;
+    using Buckets = cpu::TaxonomyBuckets;
+    for (unsigned l = 0; l < Buckets::numLeaves; ++l) {
+        const auto id = static_cast<Buckets::Leaf>(l);
+        const CA::Bucket b = CA::bucketOf(id);
+        if (b != CA::NumBuckets && leaf == Buckets::leafName(id))
+            return kCoarseName[b];
+    }
+    return leaf.c_str();
 }
 
 std::vector<std::pair<std::string, double>>
@@ -274,9 +276,8 @@ loadRunJson(const std::string &path, const std::string &label)
     in.cycles = numberAt(*summary, "cycles", path);
     in.insts = numberAt(*summary, "insts", path);
 
-    // Prefer the hierarchical taxonomy; a VCA_NTELEMETRY producer
-    // registers it all-zero, in which case the flat six-bucket
-    // accounting (always maintained) is the best available partition.
+    // Prefer the hierarchical taxonomy; a schema-v1 document has none,
+    // so fall back to its flat six-bucket accounting.
     double taxSum = 0;
     if (const trace::JsonValue *tax =
             doc.findPath("cpu.cycle_accounting.taxonomy")) {
@@ -288,19 +289,12 @@ loadRunJson(const std::string &path, const std::string &label)
         in.leaves.clear();
         if (const trace::JsonValue *flat =
                 doc.findPath("cpu.cycle_accounting")) {
-            static const std::pair<const char *, const char *>
-                kFlat[] = {
-                    {"commit_active", "retiring"},
-                    {"frontend", "frontend_bound"},
-                    {"window_shift", "window_shift"},
-                    {"exec_stall", "exec_stall"},
-                    {"rename_freelist", "rename_stall"},
-                    {"mem_stall", "mem_stall"},
-                };
-            for (const auto &[json, coarse] : kFlat)
-                if (const trace::JsonValue *v = flat->find(json))
-                    if (v->isNumber())
-                        in.leaves.emplace_back(coarse, v->asNumber());
+            for (unsigned b = 0; b < CA::NumBuckets; ++b) {
+                const trace::JsonValue *v =
+                    flat->find(CA::statName(CA::Bucket(b)));
+                if (v && v->isNumber())
+                    in.leaves.emplace_back(kCoarseName[b], v->asNumber());
+            }
         }
     }
 
@@ -349,15 +343,11 @@ explainInputFromMeasurement(const std::string &label,
     // Measurement carries only the flat six-bucket fractions (the
     // struct is frozen for sweep-cache stability), so project them
     // onto the coarse bucket names loadRunJson's fallback also uses.
-    static const std::pair<const char *, const char *> kCoarse[] = {
-        {"commit", "retiring"},  {"frontend", "frontend_bound"},
-        {"window", "window_shift"}, {"exec", "exec_stall"},
-        {"rename", "rename_stall"}, {"mem", "mem_stall"},
-    };
     for (const auto &[name, fraction] : m.cycleBreakdown)
-        for (const auto &[from, to] : kCoarse)
-            if (name == from)
-                in.leaves.emplace_back(to, fraction * in.cycles);
+        for (unsigned b = 0; b < CA::NumBuckets; ++b)
+            if (name == CA::key(CA::Bucket(b)))
+                in.leaves.emplace_back(kCoarseName[b],
+                                       fraction * in.cycles);
     return in;
 }
 

@@ -101,7 +101,7 @@ struct ExplainReport
  * Parse a vca-sim --stats-json document. Accepts schema v1 (no
  * schemaVersion key), v2 and v3. Prefers the hierarchical taxonomy
  * subtree; falls back to the flat six-bucket cycle accounting when
- * the taxonomy is absent or all-zero (VCA_NTELEMETRY producer). A v3
+ * the taxonomy is absent (a v1 document) or all-zero. A v3
  * non-detailed document has no cpu tree at all; its input loads with
  * an empty leaf set and explain() coarsens accordingly.
  * Throws sim::FatalError on unreadable/malformed input.

@@ -101,6 +101,24 @@ envFlag(const char *name)
     return v && *v && std::strcmp(v, "0") != 0;
 }
 
+/** FNV-1a over the sorted, de-duplicated hex point hashes. */
+std::uint64_t
+batchHashOf(const std::vector<std::uint64_t> &pointHashes)
+{
+    std::vector<std::string> keys;
+    keys.reserve(pointHashes.size());
+    for (std::uint64_t h : pointHashes)
+        keys.push_back(hashHex(h));
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    std::string all;
+    for (const std::string &k : keys) {
+        all += k;
+        all += '\n';
+    }
+    return fnv1a(all);
+}
+
 } // namespace
 
 SweepPoint
@@ -173,18 +191,10 @@ pointSeed(const SweepPoint &point)
 std::uint64_t
 batchHash(const std::vector<SweepPoint> &points)
 {
-    std::vector<std::string> keys;
-    keys.reserve(points.size());
+    std::vector<std::uint64_t> hashes;
     for (const SweepPoint &p : points)
-        keys.push_back(hashHex(pointHash(p)));
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    std::string all;
-    for (const std::string &k : keys) {
-        all += k;
-        all += '\n';
-    }
-    return fnv1a(all);
+        hashes.push_back(pointHash(p));
+    return batchHashOf(hashes);
 }
 
 std::string
@@ -1451,23 +1461,12 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
     }
     pointsTotal += static_cast<double>(points.size());
 
-    // The batch identity for journal/manifest names: FNV-1a over the
-    // sorted unique point hashes (same value batchHash() computes,
+    // The batch identity for journal/manifest names (batchHash()
     // without re-deriving every key).
-    std::uint64_t batch = 0;
-    {
-        std::vector<std::string> hashes;
-        hashes.reserve(unique.size());
-        for (const Work &w : unique)
-            hashes.push_back(hashHex(w.hash));
-        std::sort(hashes.begin(), hashes.end());
-        std::string all;
-        for (const std::string &h : hashes) {
-            all += h;
-            all += '\n';
-        }
-        batch = fnv1a(all);
-    }
+    std::vector<std::uint64_t> uniqueHashes;
+    for (const Work &w : unique)
+        uniqueHashes.push_back(w.hash);
+    const std::uint64_t batch = batchHashOf(uniqueHashes);
 
     struct Latch
     {

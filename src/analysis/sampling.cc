@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -189,95 +190,17 @@ advance(WarmModel &warm, const cpu::Renamer &renamer,
         warmStep(warm, renamer, sim, prog, tid);
 }
 
-/** Raw counters mirrored from runTiming(), in the same order. */
-constexpr const char *kCounterNames[] = {"stalls_table_conflict",
-                                         "stalls_astq"};
-constexpr unsigned kNumCounters = 2;
-
-/** Sums measured quanta across samples into one Measurement. */
-struct Agg
-{
-    Cycle cycles = 0;
-    InstCount insts = 0;
-    double dcacheAccesses = 0;
-    std::vector<InstCount> threadInsts;
-    double breakdown[6] = {};
-    double counterVals[kNumCounters] = {};
-    bool counterPresent[kNumCounters] = {};
-    unsigned samples = 0;
-
-    void
-    add(const cpu::OooCpu &cpu, const cpu::RunResult &res)
-    {
-        cycles += res.cycles;
-        insts += res.totalInsts;
-        dcacheAccesses += res.dcacheAccesses;
-        if (threadInsts.size() < res.threadInsts.size())
-            threadInsts.resize(res.threadInsts.size(), 0);
-        for (size_t i = 0; i < res.threadInsts.size(); ++i)
-            threadInsts[i] += res.threadInsts[i];
-        const auto &ca = cpu.cycleAccounting;
-        breakdown[0] += ca.commitActive.value();
-        breakdown[1] += ca.memStall.value();
-        breakdown[2] += ca.execStall.value();
-        breakdown[3] += ca.renameFreeList.value();
-        breakdown[4] += ca.windowShift.value();
-        breakdown[5] += ca.frontendStall.value();
-        const auto *group = static_cast<const stats::StatGroup *>(&cpu);
-        for (unsigned i = 0; i < kNumCounters; ++i) {
-            if (const auto *s = dynamic_cast<const stats::Scalar *>(
-                    group->find(kCounterNames[i]))) {
-                counterVals[i] += s->value();
-                counterPresent[i] = true;
-            }
-        }
-        ++samples;
-    }
-
-    void
-    fill(Measurement &m) const
-    {
-        m.ok = true;
-        m.cycles = cycles;
-        m.insts = insts;
-        m.ipc = cycles ? double(insts) / double(cycles) : 0.0;
-        m.cpi = insts ? double(cycles) / double(insts) : 0.0;
-        m.dcacheAccesses = dcacheAccesses;
-        m.dcacheAccPerInst =
-            insts ? dcacheAccesses / double(insts) : 0.0;
-        m.threadInsts = threadInsts;
-        for (InstCount ti : threadInsts) {
-            m.threadCpi.push_back(ti ? double(cycles) / double(ti)
-                                     : 0.0);
-            m.threadDcachePerInst.push_back(m.dcacheAccPerInst);
-        }
-        const double cyc = std::max(1.0, double(cycles));
-        m.cycleBreakdown = {
-            {"commit", breakdown[0] / cyc},
-            {"mem", breakdown[1] / cyc},
-            {"exec", breakdown[2] / cyc},
-            {"rename", breakdown[3] / cyc},
-            {"window", breakdown[4] / cyc},
-            {"frontend", breakdown[5] / cyc},
-        };
-        for (unsigned i = 0; i < kNumCounters; ++i) {
-            if (counterPresent[i])
-                m.counters.emplace_back(kCounterNames[i],
-                                        counterVals[i]);
-        }
-    }
-};
-
 /** Host accounting shared by both modes. */
 struct HostSplit
 {
     double funcSeconds = 0;
+    double funcInsts = 0;
     double simSeconds = 0;
     double simInsts = 0;
     double simCycles = 0;
 
     void
-    publish(double funcInsts) const
+    publish() const
     {
         if (simSeconds > 0 || simInsts > 0)
             stats::HostStats::global().record(simSeconds, simInsts,
@@ -288,21 +211,48 @@ struct HostSplit
     }
 };
 
-void
-runSmarts(const std::vector<const isa::Program *> &programs,
-          const cpu::CpuParams &params, const RunOptions &opts,
-          Measurement &m)
+/** One detailed sample of a schedule. */
+struct SampleSpec
 {
-    if (!opts.samplePeriodInsts || !opts.sampleQuantumInsts)
-        fatal("sampled mode requires a nonzero sample period and "
-              "quantum");
-    if (opts.samplePeriodInsts <=
-        opts.sampleDetailWarmInsts + opts.sampleQuantumInsts)
-        fatal("sample period (%llu insts) must exceed detail warm-up "
-              "plus quantum (%llu insts)",
-              (unsigned long long)opts.samplePeriodInsts,
-              (unsigned long long)(opts.sampleDetailWarmInsts +
-                                   opts.sampleQuantumInsts));
+    std::vector<InstCount> start; ///< per-thread switch-in position
+    InstCount warm = 0;           ///< detailed warm-up instructions
+    InstCount quantum = 0;        ///< measured instructions
+    double weight = 1.0;          ///< SampleRecord::weight
+    int phase = -1;               ///< SampleRecord::phase
+};
+
+/** What distinguishes the sampling modes. */
+struct SamplePlan
+{
+    /** Functionally warmed, unmeasured instructions per thread before
+     *  the first sample (its own advance() call). */
+    InstCount preWarm = 0;
+    /**
+     * Yield the next sample, given each thread's previous switch-in
+     * position (the pre-warm position before the first sample) and
+     * the instructions measured so far; false ends sampling.
+     */
+    std::function<bool(const std::vector<InstCount> &lastStart,
+                       InstCount measured, SampleSpec &next)>
+        next;
+    /** nullptr: a halted functional master ends sampling. Otherwise
+     *  the halt is fatal with this message. */
+    const char *haltError = nullptr;
+};
+
+/**
+ * The sampling driver. Per sample: fast-forward each functional master
+ * to max(position, start), transplant the warm model into a fresh
+ * detailed core and switch the architectural state in, run the
+ * detailed warm-up and the measured quantum, then adopt the core's
+ * warmed state and re-advance the masters by what it committed.
+ */
+SampleAccumulator
+runSamples(const std::vector<const isa::Program *> &programs,
+           const cpu::CpuParams &params, const RunOptions &opts,
+           const SamplePlan &plan, HostSplit &host, SampleTracer &tracer,
+           Measurement &m)
+{
     const unsigned n = static_cast<unsigned>(programs.size());
 
     // Per-thread functional golden models, each on its own memory
@@ -323,30 +273,23 @@ runSmarts(const std::vector<const isa::Program *> &programs,
     };
 
     WarmModel warm(params, n);
-    Agg agg;
-    HostSplit host;
-    SampleTracer tracer(opts.traceWriter);
+    SampleAccumulator acc;
+    std::vector<InstCount> pos(n, 0); ///< masters' dynamic positions
 
-    // Pre-sampling warm-up: fast-forward warmupInsts (functionally
-    // warmed, unmeasured) before the first period, so sampling can be
-    // aimed past a program's cold-start transient — functional
-    // warming sees no wrong-path accesses, so the transient is the
-    // one region it cannot reproduce faithfully.
-    if (opts.warmupInsts) {
+    if (plan.preWarm) {
         cpu::OooCpu reloc(params, programs);
         SampleTracer::Span span(tracer, "fast-forward (warm-up)");
         ScopedSeconds tm(host.funcSeconds);
         for (unsigned t = 0; t < n; ++t)
             advance(warm, reloc.renamer(), *fsim[t], *programs[t],
-                    ThreadId(t), opts.warmupInsts,
-                    opts.sampleFuncWarmInsts);
+                    ThreadId(t), plan.preWarm, opts.sampleFuncWarmInsts);
+        pos.assign(n, plan.preWarm);
     }
 
-    // Instructions each thread has already covered inside the current
-    // period (detail warm-up + quantum of the previous sample), so
-    // consecutive samples start exactly samplePeriodInsts apart.
-    std::vector<InstCount> coveredInPeriod(n, 0);
-    while (agg.insts < opts.measureInsts && !anyHalted()) {
+    std::vector<InstCount> lastStart = pos;
+    SampleSpec spec;
+    while ((plan.haltError || !anyHalted()) &&
+           plan.next(lastStart, acc.insts, spec)) {
         // A fresh core per sample: all transient state (queues, ROB,
         // rename tables) starts cold, as SMARTS intends; the
         // long-lived state is transplanted from the warm model below.
@@ -360,16 +303,19 @@ runSmarts(const std::vector<const isa::Program *> &programs,
             SampleTracer::Span span(tracer, "fast-forward");
             ScopedSeconds tm(host.funcSeconds);
             for (unsigned t = 0; t < n; ++t) {
-                const InstCount gap =
-                    opts.samplePeriodInsts > coveredInPeriod[t]
-                        ? opts.samplePeriodInsts - coveredInPeriod[t]
-                        : 0;
+                const InstCount to = std::max(pos[t], spec.start[t]);
                 advance(warm, cpu.renamer(), *fsim[t], *programs[t],
-                        ThreadId(t), gap, opts.sampleFuncWarmInsts);
+                        ThreadId(t), to - pos[t],
+                        opts.sampleFuncWarmInsts);
+                pos[t] = to;
             }
         }
-        if (anyHalted())
+        if (anyHalted()) {
+            if (plan.haltError)
+                fatal("%s", plan.haltError);
             break;
+        }
+        lastStart = pos;
 
         cpu.memSystem().copyStateFrom(warm.mem);
         cpu.branchPredictor().copyStateFrom(warm.bpred);
@@ -383,31 +329,30 @@ runSmarts(const std::vector<const isa::Program *> &programs,
         rec.tagValidFraction = cpu.memSystem().tagValidFraction();
         rec.bpredTableOccupancy =
             cpu.branchPredictor().tableOccupancy();
+        rec.phase = spec.phase;
+        rec.weight = spec.weight;
         tracer.transplant(rec);
 
         {
             ScopedSeconds tm(host.simSeconds);
             {
                 SampleTracer::Span span(tracer, "detail warm-up");
-                const auto warmRes = cpu.run(
-                    opts.sampleDetailWarmInsts,
-                    opts.sampleDetailWarmInsts * 200 + 100'000,
-                    opts.stopOnFirstThread);
+                const auto warmRes =
+                    cpu.run(spec.warm, spec.warm * 200 + 100'000,
+                            opts.stopOnFirstThread);
                 rec.warmCycles = warmRes.cycles;
                 rec.warmInsts = warmRes.totalInsts;
             }
             cpu.resetStats();
             SampleTracer::Span span(tracer, "measure");
-            const auto res = cpu.run(
-                opts.sampleQuantumInsts,
-                opts.sampleQuantumInsts * 200 + 100'000,
-                opts.stopOnFirstThread);
-            agg.add(cpu, res);
-            rec.cycles = res.cycles;
-            rec.insts = res.totalInsts;
+            const auto res =
+                cpu.run(spec.quantum, spec.quantum * 200 + 100'000,
+                        opts.stopOnFirstThread);
+            acc.add(cpu, res);
             if (res.totalInsts) {
-                rec.cpi =
-                    double(res.cycles) / double(res.totalInsts);
+                rec.cycles = res.cycles;
+                rec.insts = res.totalInsts;
+                rec.cpi = double(res.cycles) / double(res.totalInsts);
                 m.sampleRecords.push_back(rec);
             }
             host.simCycles += double(cpu.currentCycle());
@@ -425,175 +370,207 @@ runSmarts(const std::vector<const isa::Program *> &programs,
         warm.bpred.copyStateFrom(cpu.branchPredictor());
         {
             ScopedSeconds tm(host.funcSeconds);
-            for (unsigned t = 0; t < n; ++t)
+            for (unsigned t = 0; t < n; ++t) {
                 fsim[t]->runFast(committed[t]);
+                pos[t] += committed[t];
+            }
         }
-        coveredInPeriod = committed;
     }
 
-    if (!agg.samples)
-        fatal("sampled mode took no samples: program ends within one "
-              "sample period (%llu insts)",
-              (unsigned long long)opts.samplePeriodInsts);
-
-    agg.fill(m);
-    double funcInsts = 0;
     for (unsigned t = 0; t < n; ++t)
-        funcInsts += double(fsim[t]->stats().insts);
-    host.publish(funcInsts);
+        host.funcInsts += double(fsim[t]->stats().insts);
+    return acc;
 }
 
-void
-runSimPoint(const std::vector<const isa::Program *> &programs,
-            const cpu::CpuParams &params, const RunOptions &opts,
-            Measurement &m)
+/**
+ * SMARTS: the periodic schedule. Pre-warm warmupInsts (so sampling can
+ * be aimed past a program's cold-start transient — functional warming
+ * sees no wrong-path accesses, so the transient is the one region it
+ * cannot reproduce faithfully), then switch in every samplePeriodInsts
+ * per thread until measureInsts are measured or a program ends.
+ */
+SamplePlan
+smartsPlan(const RunOptions &opts)
 {
-    if (programs.size() != 1)
-        fatal("simpoint mode supports exactly one thread "
-              "(use --mode=sampled for SMT)");
-    if (!opts.measureInsts)
-        fatal("simpoint mode requires a nonzero measured interval");
-    const isa::Program &prog = *programs[0];
+    SamplePlan plan;
+    plan.preWarm = opts.warmupInsts;
+    plan.next = [&opts](const std::vector<InstCount> &lastStart,
+                        InstCount measured, SampleSpec &spec) {
+        if (measured >= opts.measureInsts)
+            return false;
+        spec.start.clear();
+        for (InstCount p : lastStart)
+            spec.start.push_back(p + opts.samplePeriodInsts);
+        spec.warm = opts.sampleDetailWarmInsts;
+        spec.quantum = opts.sampleQuantumInsts;
+        return true;
+    };
+    return plan;
+}
 
-    HostSplit host;
-    SampleTracer tracer(opts.traceWriter);
-    // The interval length is the measured interval, so each phase's
-    // representative interval is exactly what gets simulated in
-    // detail. BBV collection executes the program functionally once
-    // (bounded by pickSimPoint's maxIntervals); charge it to the
-    // functional side.
+/**
+ * SimPoint: one representative interval per phase (nearest its
+ * centroid), weighted by the fraction of intervals the phase covers.
+ * The interval length is the measured interval, so each phase's
+ * representative is exactly what gets simulated in detail; each
+ * switch-in happens warmupInsts early so the detailed warm-up runs
+ * through the instructions preceding it.
+ */
+SamplePlan
+simPointPlan(const isa::Program &prog, const RunOptions &opts,
+             HostSplit &host, SampleTracer &tracer)
+{
+    // BBV collection executes the program functionally once (bounded
+    // by pickSimPoint's maxIntervals); charge it to the functional
+    // side.
     SimPointResult sp;
     {
         SampleTracer::Span span(tracer, "bbv collection");
         ScopedSeconds tm(host.funcSeconds);
         sp = pickSimPoint(prog, opts.measureInsts);
     }
-    double funcInsts =
-        double(sp.phaseOf.size()) * double(opts.measureInsts);
+    host.funcInsts += double(sp.phaseOf.size()) * double(opts.measureInsts);
 
-    mem::SparseMemory fmem;
-    func::FuncSim fsim(prog, fmem);
-    WarmModel warm(params, 1);
-    Agg agg;
-    // One representative interval per phase (nearest its centroid),
-    // weighted by the fraction of intervals the phase covers. The
-    // whole-program estimate blends the representatives' CPI — equal
-    // instruction intervals make program IPC the harmonic mean of
-    // interval IPCs, so time (CPI), not rate, is what weights add
-    // over. A single dominant interval would misrepresent any
-    // phase-changing program.
-    double weightedCpi = 0;
-    double weightUsed = 0;
-    InstCount pos = 0; ///< master's position in dynamic insts
-    for (size_t r = 0; r < sp.phaseRep.size(); ++r) {
+    SamplePlan plan;
+    plan.haltError = "simpoint mode: program halted during fast-forward";
+    plan.next = [&opts, sp = std::move(sp), r = size_t(0)](
+                    const std::vector<InstCount> &, InstCount,
+                    SampleSpec &spec) mutable {
+        if (r == sp.phaseRep.size())
+            return false;
         const InstCount target =
             InstCount(sp.phaseRep[r]) * opts.measureInsts;
-        // Switch in warmupInsts before the interval so the detailed
-        // warm-up runs through the instructions preceding it and the
-        // measured region is the representative interval itself.
-        const InstCount switchAt =
-            target > opts.warmupInsts ? target - opts.warmupInsts : 0;
-
-        cpu::OooCpu cpu(params, programs);
-        InstCount committed = 0;
-        cpu.addCommitListener(
-            [&committed](const cpu::DynInst &) { ++committed; });
-        {
-            SampleTracer::Span span(tracer, "fast-forward");
-            ScopedSeconds tm(host.funcSeconds);
-            advance(warm, cpu.renamer(), fsim, prog, 0,
-                    switchAt > pos ? switchAt - pos : 0,
-                    opts.sampleFuncWarmInsts);
-            pos = std::max(pos, switchAt);
-        }
-        if (fsim.halted())
-            fatal("simpoint mode: program halted during "
-                  "fast-forward");
-
-        cpu.memSystem().copyStateFrom(warm.mem);
-        cpu.branchPredictor().copyStateFrom(warm.bpred);
-        cpu.switchIn(0, fsim.captureState(), fmem);
-
-        SampleRecord rec;
-        rec.startInst = fsim.stats().insts;
-        rec.tagValidFraction = cpu.memSystem().tagValidFraction();
-        rec.bpredTableOccupancy =
-            cpu.branchPredictor().tableOccupancy();
-        rec.phase = static_cast<int>(r);
-        rec.weight = sp.phaseWeight[r];
-        tracer.transplant(rec);
-
-        {
-            ScopedSeconds tm(host.simSeconds);
-            {
-                SampleTracer::Span span(tracer, "detail warm-up");
-                const auto warmRes =
-                    cpu.run(opts.warmupInsts,
-                            opts.warmupInsts * 200 + 100'000,
-                            opts.stopOnFirstThread);
-                rec.warmCycles = warmRes.cycles;
-                rec.warmInsts = warmRes.totalInsts;
-            }
-            cpu.resetStats();
-            SampleTracer::Span span(tracer, "measure");
-            const auto res =
-                cpu.run(opts.measureInsts,
-                        opts.measureInsts * 200 + 100'000,
-                        opts.stopOnFirstThread);
-            agg.add(cpu, res);
-            if (res.totalInsts) {
-                weightedCpi += sp.phaseWeight[r] *
-                               double(res.cycles) /
-                               double(res.totalInsts);
-                weightUsed += sp.phaseWeight[r];
-                rec.cycles = res.cycles;
-                rec.insts = res.totalInsts;
-                rec.cpi =
-                    double(res.cycles) / double(res.totalInsts);
-                m.sampleRecords.push_back(rec);
-            }
-            host.simInsts += double(committed);
-            host.simCycles += double(cpu.currentCycle());
-        }
-
-        warm.mem.copyStateFrom(cpu.memSystem());
-        warm.bpred.copyStateFrom(cpu.branchPredictor());
-        {
-            ScopedSeconds tm(host.funcSeconds);
-            fsim.runFast(committed);
-            pos += committed;
-        }
-    }
-
-    agg.fill(m);
-    // The headline IPC/CPI is the weighted whole-program estimate;
-    // cycles/insts stay raw sums over the representatives (so
-    // m.ipc != m.insts/m.cycles in general, unlike detailed mode).
-    if (weightUsed > 0) {
-        m.cpi = weightedCpi / weightUsed;
-        m.ipc = m.cpi > 0 ? 1.0 / m.cpi : 0.0;
-    }
-    funcInsts += double(fsim.stats().insts);
-    host.publish(funcInsts);
+        spec.start = {target > opts.warmupInsts
+                          ? target - opts.warmupInsts
+                          : 0};
+        spec.warm = opts.warmupInsts;
+        spec.quantum = opts.measureInsts;
+        spec.weight = sp.phaseWeight[r];
+        spec.phase = static_cast<int>(r);
+        ++r;
+        return true;
+    };
+    return plan;
 }
 
 } // namespace
 
+void
+SampleAccumulator::add(const cpu::OooCpu &cpu, const cpu::RunResult &res)
+{
+    cycles += res.cycles;
+    insts += res.totalInsts;
+    dcacheAccesses += res.dcacheAccesses;
+    if (threadInsts.size() < res.threadInsts.size())
+        threadInsts.resize(res.threadInsts.size(), 0);
+    for (size_t i = 0; i < res.threadInsts.size(); ++i)
+        threadInsts[i] += res.threadInsts[i];
+    using CA = cpu::CycleAccounting;
+    for (unsigned b = 0; b < CA::NumBuckets; ++b)
+        bucketCycles[b] += cpu.cycleAccounting.bucketCycles(CA::Bucket(b));
+    // Raw counters the ablation benches drill into. Only present on
+    // configurations that register them (the VCA renamer).
+    const auto *group = static_cast<const stats::StatGroup *>(&cpu);
+    for (const char *name : {"stalls_table_conflict", "stalls_astq"}) {
+        const auto *s =
+            dynamic_cast<const stats::Scalar *>(group->find(name));
+        if (!s)
+            continue;
+        auto it = std::find_if(
+            counters.begin(), counters.end(),
+            [name](const auto &c) { return c.first == name; });
+        if (it == counters.end())
+            it = counters.emplace(counters.end(), name, 0.0);
+        it->second += s->value();
+    }
+    ++samples;
+}
+
+void
+SampleAccumulator::fill(Measurement &m) const
+{
+    m.ok = true;
+    m.cycles = cycles;
+    m.insts = insts;
+    m.ipc = cycles ? double(insts) / double(cycles) : 0.0;
+    m.cpi = insts ? double(cycles) / double(insts) : 0.0;
+    m.dcacheAccesses = dcacheAccesses;
+    m.dcacheAccPerInst = insts ? dcacheAccesses / double(insts) : 0.0;
+    m.threadInsts = threadInsts;
+    for (InstCount ti : threadInsts) {
+        m.threadCpi.push_back(ti ? double(cycles) / double(ti) : 0.0);
+        m.threadDcachePerInst.push_back(m.dcacheAccPerInst);
+    }
+    const double cyc = std::max(1.0, double(cycles));
+    using CA = cpu::CycleAccounting;
+    for (unsigned b = 0; b < CA::NumBuckets; ++b)
+        m.cycleBreakdown.emplace_back(CA::key(CA::Bucket(b)),
+                                      bucketCycles[b] / cyc);
+    m.counters.insert(m.counters.end(), counters.begin(),
+                      counters.end());
+}
+
 Measurement
 runSampledTiming(const std::vector<const isa::Program *> &programs,
-                 cpu::RenamerKind kind, unsigned physRegs,
                  const RunOptions &opts, const cpu::CpuParams &params)
 {
-    (void)kind;
-    (void)physRegs;
     Measurement m;
     try {
         if (opts.regTelemetry)
             fatal("register telemetry requires --mode=detailed");
-        if (opts.mode == SimMode::SimPoint)
-            runSimPoint(programs, params, opts, m);
-        else
-            runSmarts(programs, params, opts, m);
+        const bool simpoint = opts.mode == SimMode::SimPoint;
+        if (simpoint) {
+            if (programs.size() != 1)
+                fatal("simpoint mode supports exactly one thread "
+                      "(use --mode=sampled for SMT)");
+            if (!opts.measureInsts)
+                fatal("simpoint mode requires a nonzero measured "
+                      "interval");
+        } else {
+            if (!opts.samplePeriodInsts || !opts.sampleQuantumInsts)
+                fatal("sampled mode requires a nonzero sample period "
+                      "and quantum");
+            if (opts.samplePeriodInsts <=
+                opts.sampleDetailWarmInsts + opts.sampleQuantumInsts)
+                fatal("sample period (%llu insts) must exceed detail "
+                      "warm-up plus quantum (%llu insts)",
+                      (unsigned long long)opts.samplePeriodInsts,
+                      (unsigned long long)(opts.sampleDetailWarmInsts +
+                                           opts.sampleQuantumInsts));
+        }
+
+        HostSplit host;
+        SampleTracer tracer(opts.traceWriter);
+        const SamplePlan plan =
+            simpoint ? simPointPlan(*programs[0], opts, host, tracer)
+                     : smartsPlan(opts);
+        const SampleAccumulator acc =
+            runSamples(programs, params, opts, plan, host, tracer, m);
+        if (!simpoint && !acc.samples)
+            fatal("sampled mode took no samples: program ends within "
+                  "one sample period (%llu insts)",
+                  (unsigned long long)opts.samplePeriodInsts);
+        acc.fill(m);
+        if (simpoint) {
+            // The headline IPC/CPI is the phase-weighted whole-program
+            // estimate: equal instruction intervals make program IPC
+            // the harmonic mean of interval IPCs, so time (CPI), not
+            // rate, is what weights add over. cycles/insts stay raw
+            // sums over the representatives (so m.ipc != m.insts /
+            // m.cycles in general, unlike detailed mode).
+            double weightedCpi = 0;
+            double weightUsed = 0;
+            for (const SampleRecord &r : m.sampleRecords) {
+                weightedCpi +=
+                    r.weight * double(r.cycles) / double(r.insts);
+                weightUsed += r.weight;
+            }
+            if (weightUsed > 0) {
+                m.cpi = weightedCpi / weightUsed;
+                m.ipc = m.cpi > 0 ? 1.0 / m.cpi : 0.0;
+            }
+        }
+        host.publish();
         m.sampling = computeSamplingSummary(m.sampleRecords);
     } catch (const FatalError &e) {
         m.ok = false;

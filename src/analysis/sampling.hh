@@ -4,16 +4,21 @@
  * RunOptions::mode).
  *
  * Both modes interleave the functional core (FuncSim's decoded-BB fast
- * path) with the detailed OoO core:
+ * path) with the detailed OoO core through one sampling driver. A
+ * sample schedule yields (per-thread start, detailed warm-up, quantum,
+ * weight, phase) entries; per entry the driver fast-forwards each
+ * thread to its start, switches the architectural state into a fresh
+ * detailed core, runs the warm-up and measures the quantum. The modes
+ * are two schedules over that driver:
  *
  *  - SimPoint: cluster BBV intervals into phases (analysis/
- *    simpoint.hh), detail-simulate one representative interval per
- *    phase, and report the phase-weighted IPC blend as the
- *    whole-program estimate.
- *  - Sampled: SMARTS-style periodic sampling — every samplePeriodInsts
- *    per thread, switch the architectural state into a fresh detailed
- *    core, run sampleDetailWarmInsts of detailed warm-up, and measure
- *    a sampleQuantumInsts quantum; aggregate quanta until measureInsts
+ *    simpoint.hh), schedule one representative interval per phase
+ *    with its phase weight, and report the phase-weighted IPC blend
+ *    as the whole-program estimate. A program halting before a
+ *    representative is fatal.
+ *  - Sampled: SMARTS-style periodic sampling — a sample every
+ *    samplePeriodInsts per thread (sampleDetailWarmInsts of detailed
+ *    warm-up, a sampleQuantumInsts quantum) until measureInsts
  *    instructions have been measured or the program ends.
  *
  * Long-lived microarchitectural state (cache tags, predictor tables)
@@ -48,8 +53,33 @@ namespace vca::analysis {
  */
 Measurement runSampledTiming(
     const std::vector<const isa::Program *> &programs,
-    cpu::RenamerKind kind, unsigned physRegs, const RunOptions &opts,
-    const cpu::CpuParams &params);
+    const RunOptions &opts, const cpu::CpuParams &params);
+
+/**
+ * Sums measured detailed intervals into one Measurement. This is the
+ * only code that turns (OooCpu, RunResult) into Measurement numbers:
+ * detailed mode adds its one measured interval, the sampled modes add
+ * every quantum.
+ */
+struct SampleAccumulator
+{
+    Cycle cycles = 0;
+    InstCount insts = 0;
+    double dcacheAccesses = 0;
+    std::vector<InstCount> threadInsts;
+    double bucketCycles[cpu::CycleAccounting::NumBuckets] = {};
+    /** Raw renamer counters, where the configuration registers them
+     *  (the VCA renamer's stalls_table_conflict / stalls_astq). */
+    std::vector<std::pair<std::string, double>> counters;
+    unsigned samples = 0; ///< add() calls
+
+    /** Add one measured interval of @p cpu (stats reset at its
+     *  start). */
+    void add(const cpu::OooCpu &cpu, const cpu::RunResult &res);
+
+    /** Write the sums into @p m and mark it ok. */
+    void fill(Measurement &m) const;
+};
 
 // ---------------------------------------------------------------------
 // Confidence-interval estimator (pure functions, unit-tested without

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 
 #include "core/vca_renamer.hh"
 #include "cpu/conv_renamer.hh"
@@ -124,28 +125,94 @@ CycleTaxonomy::CycleTaxonomy(unsigned numThreads,
     }
 }
 
+namespace {
+
+using Bucket = CycleAccounting::Bucket;
+
+/** Stat name, Measurement key and description of each flat bucket,
+ *  in Bucket order. */
+constexpr struct
+{
+    const char *stat;
+    const char *key;
+    const char *desc;
+} kBuckets[] = {
+    {"commit_active", "commit",
+     "cycles that retired at least one instruction"},
+    {"mem_stall", "mem",
+     "stall cycles: oldest instruction is an unfinished load/store"},
+    {"exec_stall", "exec",
+     "stall cycles: oldest instruction unfinished, non-memory"},
+    {"rename_freelist", "rename",
+     "stall cycles: ROB empty, renamer refused (free list / table "
+     "conflicts / ports)"},
+    {"window_shift", "window",
+     "stall cycles: ROB empty, rename blocked by a window trap or "
+     "mispredict recovery walk"},
+    {"frontend", "frontend",
+     "stall cycles: ROB empty, front end still fetching/decoding"},
+};
+static_assert(std::size(kBuckets) == CycleAccounting::NumBuckets);
+
+/** The leaf -> flat bucket refinement, in Leaf order (DESIGN.md
+ *  "Hierarchical cycle attribution"). */
+constexpr Bucket kLeafBucket[] = {
+    CycleAccounting::Commit,     // retiring
+    CycleAccounting::NumBuckets, // idle: per-thread trees only
+    CycleAccounting::Frontend,   // frontend_bound.icache
+    CycleAccounting::Frontend,   // frontend_bound.fetch
+    CycleAccounting::Window,     // bad_speculation.recovery
+    CycleAccounting::Exec,       // backend_core.exec
+    CycleAccounting::Rename,     // backend_core.rename_freelist
+    CycleAccounting::Mem,        // backend_memory.dcache
+    CycleAccounting::Mem,        // backend_memory.store_drain
+    CycleAccounting::Exec,       // backend_memory.fill_latency
+    CycleAccounting::Rename,     // backend_memory.spill_stall
+    CycleAccounting::Window,     // backend_memory.window_trap
+};
+static_assert(std::size(kLeafBucket) == TaxonomyBuckets::numLeaves);
+
+} // namespace
+
+Bucket
+CycleAccounting::bucketOf(TaxonomyBuckets::Leaf leaf)
+{
+    return kLeafBucket[static_cast<unsigned>(leaf)];
+}
+
+const char *
+CycleAccounting::statName(Bucket bucket)
+{
+    return kBuckets[bucket].stat;
+}
+
+const char *
+CycleAccounting::key(Bucket bucket)
+{
+    return kBuckets[bucket].key;
+}
+
 CycleAccounting::CycleAccounting(stats::StatGroup *parent,
                                  unsigned numThreads)
     : stats::StatGroup("cycle_accounting", parent),
-      commitActive(this, "commit_active",
-                   "cycles that retired at least one instruction"),
-      memStall(this, "mem_stall",
-               "stall cycles: oldest instruction is an unfinished "
-               "load/store"),
-      execStall(this, "exec_stall",
-                "stall cycles: oldest instruction unfinished, "
-                "non-memory"),
-      renameFreeList(this, "rename_freelist",
-                     "stall cycles: ROB empty, renamer refused "
-                     "(free list / table conflicts / ports)"),
-      windowShift(this, "window_shift",
-                  "stall cycles: ROB empty, rename blocked by a "
-                  "window trap or mispredict recovery walk"),
-      frontendStall(this, "frontend",
-                    "stall cycles: ROB empty, front end still "
-                    "fetching/decoding"),
       taxonomy(numThreads, this)
 {
+    for (unsigned b = 0; b < NumBuckets; ++b) {
+        flat_.push_back(std::make_unique<stats::Formula>(
+            this, kBuckets[b].stat, kBuckets[b].desc,
+            [this, b] { return bucketCycles(Bucket(b)); }));
+    }
+}
+
+double
+CycleAccounting::bucketCycles(Bucket bucket) const
+{
+    double sum = 0;
+    for (unsigned l = 0; l < TaxonomyBuckets::numLeaves; ++l) {
+        if (kLeafBucket[l] == bucket)
+            sum += taxonomy.leafValue(TaxonomyBuckets::Leaf(l));
+    }
+    return sum;
 }
 
 OooCpu::OooCpu(const CpuParams &params,
@@ -1175,57 +1242,10 @@ OooCpu::fetchStage()
 }
 
 /**
- * Attribute this cycle to one CycleAccounting bucket. Runs after every
- * stage so rename-stall state from this cycle is visible.
- */
-void
-OooCpu::accountCycle(double committedThisCycle)
-{
-    if (committedThisCycle > 0) {
-        ++cycleAccounting.commitActive;
-        return;
-    }
-
-    // Find the oldest ROB head across threads: the instruction the
-    // machine is architecturally waiting on.
-    const DynInst *oldest = nullptr;
-    for (const ThreadState &ts : threads_) {
-        if (ts.rob.empty())
-            continue;
-        const DynInst *head = ts.rob.front();
-        if (!oldest || head->seq < oldest->seq)
-            oldest = head;
-    }
-
-    if (oldest) {
-        // A completed head that still didn't retire is a store stuck
-        // behind a full store buffer: memory's fault either way.
-        if (oldest->si->isMem() || oldest->completed)
-            ++cycleAccounting.memStall;
-        else
-            ++cycleAccounting.execStall;
-        return;
-    }
-
-    // ROB empty: why is the front end not delivering?
-    bool trapBlocked = false;
-    for (const ThreadState &ts : threads_) {
-        if (!ts.done && ts.renameBlockedUntil > now_)
-            trapBlocked = true;
-    }
-    if (trapBlocked || renamer_->transfersBlockRename())
-        ++cycleAccounting.windowShift;
-    else if (renamerRefusedThisCycle_)
-        ++cycleAccounting.renameFreeList;
-    else
-        ++cycleAccounting.frontendStall;
-}
-
-/**
- * Refine a non-retiring ROB-head stall into a taxonomy leaf. The
- * predicate union per leaf pair matches accountCycle() exactly:
- * dcache + store_drain == mem_stall, exec + fill_latency == exec_stall
- * (DESIGN.md "Hierarchical cycle attribution").
+ * Refine a non-retiring ROB-head stall into a taxonomy leaf. A
+ * memory-class head (dcache, store_drain) is mem_stall and any other
+ * (exec, fill_latency) is exec_stall (DESIGN.md "Hierarchical cycle
+ * attribution").
  */
 TaxonomyBuckets::Leaf
 OooCpu::classifyHead(const DynInst *head) const
@@ -1254,8 +1274,8 @@ OooCpu::classifyHead(const DynInst *head) const
     return Leaf::Exec;
 }
 
-/** Machine-level taxonomy leaf for this cycle (same decision tree as
- *  accountCycle(), with each flat bucket split into its leaves). */
+/** Machine-level taxonomy leaf for this cycle: the oldest ROB head
+ *  across threads, or with an empty ROB why rename/fetch stalled. */
 TaxonomyBuckets::Leaf
 OooCpu::classifyMachine(double committedThisCycle) const
 {
@@ -1332,28 +1352,6 @@ OooCpu::classifyThread(unsigned t) const
     return Leaf::Fetch;
 }
 
-/**
- * Hierarchical refinement of accountCycle(): one machine-level leaf
- * and one leaf per hardware thread per cycle, so every tree in
- * cpu.cycle_accounting.taxonomy partitions cpu.cycles exactly.
- * Compiled out under VCA_NTELEMETRY (the trees stay registered but
- * all-zero).
- */
-void
-OooCpu::accountTaxonomy(double committedThisCycle)
-{
-#ifndef VCA_NTELEMETRY
-    CycleTaxonomy &tax = cycleAccounting.taxonomy;
-    tax.add(classifyMachine(committedThisCycle));
-    for (unsigned t = 0; t < params_.numThreads; ++t) {
-        tax.thread(t).add(classifyThread(t));
-        threads_[t].renameRefused = false;
-    }
-#else
-    (void)committedThisCycle;
-#endif
-}
-
 void
 OooCpu::tick()
 {
@@ -1366,19 +1364,23 @@ OooCpu::tick()
         iqOccupancyDist.sample(static_cast<double>(iqCount_));
     }
     const double committedBefore = committedTotal.value();
-#ifndef VCA_NTELEMETRY
     for (unsigned t = 0; t < params_.numThreads; ++t)
         commitSnapshot_[t] = threads_[t].committed;
-#endif
     processCompletions();
     commitStage();
     issueStage();
     renameStage();
     fetchStage();
-    const double committedDelta =
-        committedTotal.value() - committedBefore;
-    accountCycle(committedDelta);
-    accountTaxonomy(committedDelta);
+
+    // Cycle attribution: one machine-level leaf and one leaf per
+    // hardware thread, so every tree in cpu.cycle_accounting.taxonomy
+    // partitions cpu.cycles exactly (and the flat buckets follow).
+    CycleTaxonomy &tax = cycleAccounting.taxonomy;
+    tax.add(classifyMachine(committedTotal.value() - committedBefore));
+    for (unsigned t = 0; t < params_.numThreads; ++t) {
+        tax.thread(t).add(classifyThread(t));
+        threads_[t].renameRefused = false;
+    }
 }
 
 RunResult

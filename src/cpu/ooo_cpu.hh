@@ -131,9 +131,7 @@ class TaxonomyBuckets : public stats::StatGroup
  * machine-level tree (the group's own leaves) plus one "threadN"
  * subtree per hardware thread. Every simulated cycle adds exactly one
  * machine-level leaf and exactly one leaf per thread tree, so each
- * tree independently partitions `cpu.cycles`. Updated only when
- * telemetry is compiled in (VCA_NTELEMETRY leaves the group present
- * but all-zero, which keeps the stats-JSON schema stable).
+ * tree independently partitions `cpu.cycles`.
  */
 class CycleTaxonomy : public TaxonomyBuckets
 {
@@ -158,33 +156,50 @@ class CycleTaxonomy : public TaxonomyBuckets
 
 /**
  * Commit-stall attribution: every simulated cycle lands in exactly one
- * bucket, so the buckets sum to `cpu.cycles`. Attribution is
- * commit-centric (gem5's methodology): a cycle that retires nothing is
- * blamed on whatever the oldest unretired instruction is waiting for,
- * or — with an empty ROB — on why the front end is not delivering.
+ * leaf of the `taxonomy` tree, so the leaves sum to `cpu.cycles`.
+ * Attribution is commit-centric (gem5's methodology): a cycle that
+ * retires nothing is blamed on whatever the oldest unretired
+ * instruction is waiting for, or — with an empty ROB — on why the
+ * front end is not delivering.
  *
- * The six flat scalars are the original coarse partition (benches and
- * the Measurement cycleBreakdown read them); the `taxonomy` child
- * refines them per DESIGN.md "Hierarchical cycle attribution":
+ * The six flat stats are the original coarse partition (benches and
+ * the Measurement cycleBreakdown read them). They are Formulas over
+ * the machine-level leaves, which refine them per DESIGN.md
+ * "Hierarchical cycle attribution":
  *   commit_active   == taxonomy.retiring
  *   frontend        == icache + fetch
  *   window_shift    == recovery + window_trap
  *   exec_stall      == exec + fill_latency
  *   mem_stall       == dcache + store_drain
  *   rename_freelist == spill_stall + rename_freelist (leaf)
+ * bucketOf() is the one statement of that mapping.
  */
 class CycleAccounting : public stats::StatGroup
 {
   public:
+    /** The flat buckets, in Measurement::cycleBreakdown order. */
+    enum Bucket : unsigned
+    {
+        Commit, Mem, Exec, Rename, Window, Frontend,
+        NumBuckets ///< also "no bucket": the per-thread idle leaf
+    };
+
+    /** The flat bucket a machine-level leaf refines. */
+    static Bucket bucketOf(TaxonomyBuckets::Leaf leaf);
+    /** Stat name under cpu.cycle_accounting, e.g. "mem_stall". */
+    static const char *statName(Bucket bucket);
+    /** Measurement::cycleBreakdown key, e.g. "mem". */
+    static const char *key(Bucket bucket);
+
     CycleAccounting(stats::StatGroup *parent, unsigned numThreads);
 
-    stats::Scalar commitActive;   ///< >=1 instruction retired
-    stats::Scalar memStall;       ///< ROB head is an unfinished mem op
-    stats::Scalar execStall;      ///< ROB head unfinished, non-memory
-    stats::Scalar renameFreeList; ///< ROB empty, renamer refused
-    stats::Scalar windowShift;    ///< ROB empty, trap/recovery stall
-    stats::Scalar frontendStall;  ///< ROB empty, fetch/decode filling
-    CycleTaxonomy taxonomy;       ///< hierarchical refinement
+    /** Cycles in one flat bucket: the sum of its machine leaves. */
+    double bucketCycles(Bucket bucket) const;
+
+    CycleTaxonomy taxonomy;
+
+  private:
+    std::vector<std::unique_ptr<stats::Formula>> flat_;
 };
 
 class OooCpu : public stats::StatGroup
@@ -337,7 +352,7 @@ class OooCpu : public stats::StatGroup
         RingBuffer<DynInst *> sq; ///< stores in program order
         Cycle renameBlockedUntil = 0;
         // Taxonomy breadcrumbs: written on the (cold) stall paths,
-        // read only by the gated accountTaxonomy() pass.
+        // read only by the end-of-tick cycle attribution.
         RenameBlock renameBlockReason = RenameBlock::None;
         Cycle icacheStallUntil = 0;
         bool renameRefused = false;
@@ -359,8 +374,6 @@ class OooCpu : public stats::StatGroup
     void fetchStage();
 
     // Helpers.
-    void accountCycle(double committedThisCycle);
-    void accountTaxonomy(double committedThisCycle);
     TaxonomyBuckets::Leaf classifyHead(const DynInst *head) const;
     TaxonomyBuckets::Leaf classifyMachine(double committedThisCycle) const;
     TaxonomyBuckets::Leaf classifyThread(unsigned t) const;

@@ -14,9 +14,10 @@
  *    VCA_ACCURACY_SPEEDUP) the host-MIPS of the detailed side,
  *    measured from the HostStats func/sim split of the very same
  *    sampled runs;
- *  - stability: sampled numbers are golden (tests/golden/sampled.json,
- *    refresh with VCA_UPDATE_GOLDEN=1) and bit-identical across sweep
- *    job counts and across process isolation.
+ *  - stability: sampled and SimPoint numbers are golden
+ *    (tests/golden/sampled.json, refresh with VCA_UPDATE_GOLDEN=1),
+ *    and sampled ones are bit-identical across sweep job counts and
+ *    across process isolation.
  *
  * scripts/accuracy_gate.py enforces the same epsilon/speedup contract
  * from the command line; scripts/check.sh runs both.
@@ -238,8 +239,27 @@ goldenSampledPoints()
     return points;
 }
 
+/**
+ * The golden SimPoint sweep: crafty on every architecture, plus art,
+ * whose SimPoint run halts during fast-forward — an inoperable point
+ * is golden too, error text included.
+ */
+std::vector<analysis::SweepPoint>
+goldenSimPointPoints()
+{
+    std::vector<analysis::SweepPoint> points;
+    for (cpu::RenamerKind kind : allArchs())
+        points.push_back(analysis::makePoint("crafty", kind,
+                                             regsFor(kind),
+                                             simpointOpts()));
+    points.push_back(analysis::makePoint("art", cpu::RenamerKind::Vca,
+                                         192, simpointOpts()));
+    return points;
+}
+
 std::vector<analysis::Measurement>
-runGoldenSampledSweep(unsigned jobs = 0, bool isolate = false)
+runGoldenSweep(const std::vector<analysis::SweepPoint> &points,
+               unsigned jobs = 0, bool isolate = false)
 {
     analysis::SweepConfig config;
     config.jobs = jobs;
@@ -248,7 +268,13 @@ runGoldenSampledSweep(unsigned jobs = 0, bool isolate = false)
     analysis::RobustConfig robust = runner.robust();
     robust.isolate = isolate;
     runner.setRobust(robust);
-    return runner.run(goldenSampledPoints());
+    return runner.run(points);
+}
+
+std::vector<analysis::Measurement>
+runGoldenSampledSweep(unsigned jobs = 0, bool isolate = false)
+{
+    return runGoldenSweep(goldenSampledPoints(), jobs, isolate);
 }
 
 } // namespace
@@ -259,6 +285,9 @@ TEST(Accuracy, GoldenSampledNumbers)
     const auto points = goldenSampledPoints();
     const auto results = runGoldenSampledSweep();
     ASSERT_EQ(results.size(), points.size());
+    const auto spPoints = goldenSimPointPoints();
+    const auto spResults = runGoldenSweep(spPoints);
+    ASSERT_EQ(spResults.size(), spPoints.size());
 
     if (const char *update = std::getenv("VCA_UPDATE_GOLDEN");
         update && *update) {
@@ -275,6 +304,22 @@ TEST(Accuracy, GoldenSampledNumbers)
             w.key("ok").boolean(results[i].ok);
             w.key("cycles").number(std::uint64_t(results[i].cycles));
             w.key("insts").number(std::uint64_t(results[i].insts));
+            w.endObject();
+        }
+        w.endArray();
+        w.key("simpoint").beginArray();
+        for (size_t i = 0; i < spPoints.size(); ++i) {
+            const analysis::Measurement &m = spResults[i];
+            w.beginObject();
+            w.key("bench").string(spPoints[i].benches[0]);
+            w.key("arch").string(cpu::renamerKindName(spPoints[i].kind));
+            w.key("regs").number(std::uint64_t(spPoints[i].physRegs));
+            w.key("ok").boolean(m.ok);
+            w.key("cycles").number(std::uint64_t(m.cycles));
+            w.key("insts").number(std::uint64_t(m.insts));
+            w.key("ipc").number(m.ipc);
+            if (!m.ok)
+                w.key("error").string(m.error);
             w.endObject();
         }
         w.endArray();
@@ -310,6 +355,37 @@ TEST(Accuracy, GoldenSampledNumbers)
                       g.find("insts")->asNumber()),
                   static_cast<std::uint64_t>(results[i].insts))
             << label;
+    }
+
+    // SimPoint: raw cycle/inst sums plus the phase-weighted headline
+    // IPC, which is not insts/cycles in this mode.
+    const trace::JsonValue *spGolden = doc.find("simpoint");
+    ASSERT_TRUE(spGolden && spGolden->isArray());
+    ASSERT_EQ(spGolden->size(), spPoints.size());
+    for (size_t i = 0; i < spPoints.size(); ++i) {
+        const trace::JsonValue &g = spGolden->at(i);
+        const analysis::Measurement &m = spResults[i];
+        const std::string label =
+            spPoints[i].benches[0] + "/" +
+            cpu::renamerKindName(spPoints[i].kind) + " simpoint";
+        EXPECT_EQ(g.find("bench")->asString(), spPoints[i].benches[0]);
+        EXPECT_EQ(g.find("arch")->asString(),
+                  cpu::renamerKindName(spPoints[i].kind));
+        EXPECT_EQ(g.find("ok")->asBool(), m.ok) << label;
+        EXPECT_EQ(static_cast<std::uint64_t>(
+                      g.find("cycles")->asNumber()),
+                  static_cast<std::uint64_t>(m.cycles))
+            << label;
+        EXPECT_EQ(static_cast<std::uint64_t>(
+                      g.find("insts")->asNumber()),
+                  static_cast<std::uint64_t>(m.insts))
+            << label;
+        EXPECT_EQ(g.find("ipc")->asNumber(), m.ipc) << label;
+        if (!m.ok) {
+            const trace::JsonValue *error = g.find("error");
+            ASSERT_TRUE(error) << label;
+            EXPECT_EQ(error->asString(), m.error) << label;
+        }
     }
 }
 

@@ -5,7 +5,8 @@
  * Runs a scaled-down but fully deterministic sweep — every renamer
  * kind over a few register-file sizes, plus two SMT mixes — through
  * the SweepRunner with the on-disk cache disabled, and asserts the
- * exact committed-instruction and cycle counts against the checked-in
+ * exact committed-instruction and cycle counts, and every operable
+ * point's six cycle-accounting fractions, against the checked-in
  * numbers in tests/golden/sweep.json. Any change to simulated numbers
  * (intended or not) trips these tests.
  *
@@ -118,6 +119,12 @@ writeGoldens(const std::vector<analysis::SweepPoint> &points,
         w.key("ok").boolean(m.ok);
         w.key("cycles").number(std::uint64_t(m.cycles));
         w.key("insts").number(std::uint64_t(m.insts));
+        if (m.ok) {
+            w.key("breakdown").beginObject();
+            for (const auto &[name, fraction] : m.cycleBreakdown)
+                w.key(name).number(fraction);
+            w.endObject();
+        }
         w.endObject();
     }
     w.endArray();
@@ -179,6 +186,19 @@ TEST(Golden, SweepNumbers)
                       g.find("insts")->asNumber()),
                   static_cast<std::uint64_t>(m.insts))
             << label.str();
+        if (!m.ok)
+            continue;
+        // The six flat cycle-accounting fractions, bit for bit.
+        const trace::JsonValue *breakdown = g.find("breakdown");
+        ASSERT_TRUE(breakdown && breakdown->isObject()) << label.str();
+        ASSERT_EQ(breakdown->members().size(), m.cycleBreakdown.size())
+            << label.str();
+        for (const auto &[name, fraction] : m.cycleBreakdown) {
+            const trace::JsonValue *v = breakdown->find(name);
+            ASSERT_TRUE(v && v->isNumber()) << label.str() << ": " << name;
+            EXPECT_EQ(v->asNumber(), fraction)
+                << label.str() << ": " << name;
+        }
     }
 }
 

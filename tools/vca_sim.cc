@@ -670,14 +670,15 @@ simMain(int argc, char **argv)
                 return cpu.memSystem().dcache().accesses.value();
             });
             intervals->addProbe("mem_stall_cycles", [&cpu] {
-                return cpu.cycleAccounting.memStall.value();
+                return cpu.cycleAccounting.bucketCycles(
+                    cpu::CycleAccounting::Mem);
             });
             intervals->addProbe("rename_stall_cycles", [&cpu] {
                 return cpu.renameStallCycles.value();
             });
             // One probe per machine-level taxonomy leaf, so interval
             // records double as aligned stall time series for
-            // vca-explain. All-zero under VCA_NTELEMETRY.
+            // vca-explain.
             using Buckets = cpu::TaxonomyBuckets;
             for (unsigned l = 0; l < Buckets::numLeaves; ++l) {
                 const auto leaf = static_cast<Buckets::Leaf>(l);
@@ -734,17 +735,15 @@ simMain(int argc, char **argv)
                         (unsigned long long)res.threadInsts[t]);
         }
         {
+            using CA = cpu::CycleAccounting;
             const double cyc = std::max(1.0, double(res.cycles));
-            const auto &ca = cpu.cycleAccounting;
-            std::printf("cycle accounting: commit=%.1f%% mem=%.1f%% "
-                        "exec=%.1f%% rename=%.1f%% window=%.1f%% "
-                        "frontend=%.1f%%\n",
-                        100 * ca.commitActive.value() / cyc,
-                        100 * ca.memStall.value() / cyc,
-                        100 * ca.execStall.value() / cyc,
-                        100 * ca.renameFreeList.value() / cyc,
-                        100 * ca.windowShift.value() / cyc,
-                        100 * ca.frontendStall.value() / cyc);
+            std::printf("cycle accounting:");
+            for (unsigned b = 0; b < CA::NumBuckets; ++b) {
+                const auto bucket = CA::Bucket(b);
+                const double v = cpu.cycleAccounting.bucketCycles(bucket);
+                std::printf(" %s=%.1f%%", CA::key(bucket), 100 * v / cyc);
+            }
+            std::printf("\n");
         }
         std::printf("host: seconds=%.3f mips=%.3f cycles_per_sec=%.0f\n",
                     hostStats.simSeconds.value(),
