@@ -47,7 +47,7 @@ fmtDouble(double v)
     return buf;
 }
 
-/** The 16-hex-digit spelling used for cache files and journals. */
+/** The 16-hex-digit spelling that names cache files. */
 std::string
 hashHex(std::uint64_t h)
 {
@@ -99,24 +99,6 @@ envFlag(const char *name)
 {
     const char *v = std::getenv(name);
     return v && *v && std::strcmp(v, "0") != 0;
-}
-
-/** FNV-1a over the sorted, de-duplicated hex point hashes. */
-std::uint64_t
-batchHashOf(const std::vector<std::uint64_t> &pointHashes)
-{
-    std::vector<std::string> keys;
-    keys.reserve(pointHashes.size());
-    for (std::uint64_t h : pointHashes)
-        keys.push_back(hashHex(h));
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    std::string all;
-    for (const std::string &k : keys) {
-        all += k;
-        all += '\n';
-    }
-    return fnv1a(all);
 }
 
 } // namespace
@@ -186,27 +168,6 @@ pointSeed(const SweepPoint &point)
     // library default" in RunOptions).
     const std::uint64_t seed = splitmix64(pointHash(point));
     return seed ? seed : 1;
-}
-
-std::uint64_t
-batchHash(const std::vector<SweepPoint> &points)
-{
-    std::vector<std::uint64_t> hashes;
-    for (const SweepPoint &p : points)
-        hashes.push_back(pointHash(p));
-    return batchHashOf(hashes);
-}
-
-std::string
-journalPath(const std::string &cacheDir, std::uint64_t batch)
-{
-    return cacheDir + "/journal/" + hashHex(batch) + ".jsonl";
-}
-
-std::string
-manifestPath(const std::string &cacheDir, std::uint64_t batch)
-{
-    return cacheDir + "/manifests/" + hashHex(batch) + ".json";
 }
 
 RobustConfig
@@ -422,6 +383,41 @@ measurementFromValue(const trace::JsonValue &v)
     return m;
 }
 
+void
+writeFailure(trace::JsonWriter &w, const PointFailure &f)
+{
+    w.beginObject();
+    w.key("label").string(f.label);
+    w.key("error").string(f.error);
+    w.key("attempts").number(std::uint64_t(f.attempts));
+    w.endObject();
+}
+
+std::string
+failureToJson(const PointFailure &f)
+{
+    std::ostringstream os;
+    trace::JsonWriter w(os);
+    writeFailure(w, f);
+    return os.str();
+}
+
+PointFailure
+failureFromValue(const trace::JsonValue &v)
+{
+    using Kind = trace::JsonValue::Kind;
+    const trace::JsonValue *label = v.find("label");
+    const trace::JsonValue *error = v.find("error");
+    if (!label || !error || label->kind() != Kind::String ||
+        error->kind() != Kind::String)
+        fatal("failure JSON: missing label/error");
+    PointFailure f;
+    f.label = label->asString();
+    f.error = error->asString();
+    f.attempts = static_cast<unsigned>(numberField(v, "attempts"));
+    return f;
+}
+
 } // namespace
 
 std::string
@@ -498,15 +494,16 @@ ResultCache::noteWriteError(const std::string &what) const
     }
 }
 
-bool
-ResultCache::load(const SweepPoint &point, Measurement &out) const
+ResultCache::Entry
+ResultCache::read(const SweepPoint &point, Measurement &m,
+                  PointFailure &f) const
 {
     if (!enabled())
-        return false;
+        return Entry::Miss;
     const std::string path = pathFor(point);
     std::ifstream is(path, std::ios::binary);
     if (!is)
-        return false; // never cached: the ordinary miss
+        return Entry::Miss; // never cached: the ordinary miss
     std::ostringstream buf;
     buf << is.rdbuf();
     is.close();
@@ -518,13 +515,13 @@ ResultCache::load(const SweepPoint &point, Measurement &out) const
     }
     if (text.empty()) {
         quarantineEntry(path, "empty");
-        return false;
+        return Entry::Miss;
     }
     try {
         const trace::JsonValue doc = trace::JsonValue::parse(text);
         if (!doc.isObject()) {
             quarantineEntry(path, "schema");
-            return false;
+            return Entry::Miss;
         }
         // Valid JSON of the wrong shape (legacy schema, foreign file)
         // is as much a miss as a truncated entry — counted, moved
@@ -534,38 +531,65 @@ ResultCache::load(const SweepPoint &point, Measurement &out) const
             schema->asNumber() != kCacheEntrySchema) {
             schemaMisses_.fetch_add(1, std::memory_order_relaxed);
             quarantineEntry(path, "schema");
-            return false;
+            return Entry::Miss;
         }
         const trace::JsonValue *version = doc.find("version");
         const trace::JsonValue *key = doc.find("key");
         const trace::JsonValue *sum = doc.find("sum");
+        // The payload: a measurement, or the record of a point that
+        // exhausted its attempts.
         const trace::JsonValue *meas = doc.find("measurement");
-        if (!version || !key || !sum || !meas) {
+        const trace::JsonValue *fail = meas ? nullptr : doc.find("failure");
+        if (!version || !key || !sum || (!meas && !fail)) {
             schemaMisses_.fetch_add(1, std::memory_order_relaxed);
             quarantineEntry(path, "schema");
-            return false;
+            return Entry::Miss;
         }
         if (version->asString() != kSimVersionTag)
-            return false; // stale simulator version: plain miss
+            return Entry::Miss; // stale simulator version: plain miss
         if (key->asString() != pointKey(point))
-            return false; // hash collision: plain miss
-        Measurement m = measurementFromValue(*meas);
+            return Entry::Miss; // hash collision: plain miss
+        Measurement pm;
+        PointFailure pf;
+        if (meas)
+            pm = measurementFromValue(*meas);
+        else
+            pf = failureFromValue(*fail);
         // The checksum covers the canonical re-serialization of the
-        // parsed measurement: JsonValue preserves member order and
-        // doubles round-trip losslessly, so any byte that made it
-        // through the parser but differs from what store() wrote
-        // changes the sum.
+        // parsed payload: JsonValue preserves member order and doubles
+        // round-trip losslessly, so any byte that made it through the
+        // parser but differs from what commit() wrote changes the sum.
         if (verify_ &&
-            sum->asString() != hashHex(fnv1a(measurementToJson(m)))) {
+            sum->asString() != hashHex(fnv1a(meas ? measurementToJson(pm)
+                                                  : failureToJson(pf)))) {
             quarantineEntry(path, "checksum");
-            return false;
+            return Entry::Miss;
         }
-        out = std::move(m);
-        return true;
+        if (!meas) {
+            pf.hash = pointHash(point);
+            f = std::move(pf);
+            return Entry::Failure;
+        }
+        m = std::move(pm);
+        return Entry::Measurement;
     } catch (const FatalError &) {
         quarantineEntry(path, "parse");
-        return false;
+        return Entry::Miss;
     }
+}
+
+bool
+ResultCache::load(const SweepPoint &point, Measurement &out) const
+{
+    PointFailure unused;
+    return read(point, out, unused) == Entry::Measurement;
+}
+
+bool
+ResultCache::loadFailure(const SweepPoint &point, PointFailure &out) const
+{
+    Measurement unused;
+    return read(point, unused, out) == Entry::Failure;
 }
 
 namespace {
@@ -677,7 +701,9 @@ installCacheCleanupHandler()
 } // namespace
 
 bool
-ResultCache::store(const SweepPoint &point, const Measurement &m) const
+ResultCache::commit(const SweepPoint &point, const char *field,
+                    const std::function<void(trace::JsonWriter &)> &body)
+    const
 {
     if (!enabled())
         return false;
@@ -693,6 +719,12 @@ ResultCache::store(const SweepPoint &point, const Measurement &m) const
                        ec.message());
         return false;
     }
+    // The checksum is over the payload's standalone serialization,
+    // which is what read() re-derives from the parsed payload.
+    std::ostringstream payload;
+    trace::JsonWriter pw(payload);
+    body(pw);
+    const std::string sum = hashHex(fnv1a(payload.str()));
     const std::string path = pathFor(point);
     // Unique temp name per writer, then an atomic rename: concurrent
     // processes computing the same point cannot interleave writes.
@@ -715,9 +747,9 @@ ResultCache::store(const SweepPoint &point, const Measurement &m) const
         w.key("schema").number(std::uint64_t(kCacheEntrySchema));
         w.key("version").string(kSimVersionTag);
         w.key("key").string(pointKey(point));
-        w.key("sum").string(hashHex(fnv1a(measurementToJson(m))));
-        w.key("measurement");
-        writeMeasurement(w, m);
+        w.key("sum").string(sum);
+        w.key(field);
+        body(w);
         w.endObject();
         os << '\n';
         os.flush();
@@ -744,198 +776,20 @@ ResultCache::store(const SweepPoint &point, const Measurement &m) const
     return true;
 }
 
-// ---------------------------------------------------------------------
-// Batch journal and failure manifest
-// ---------------------------------------------------------------------
-
-namespace {
-
-/**
- * JsonWriter output flattened to one physical line. Lossless: any
- * newline inside a string value is escaped by the writer, so raw
- * newlines (and their following indentation) are pure formatting.
- */
-std::string
-oneLine(const std::string &pretty)
+bool
+ResultCache::store(const SweepPoint &point, const Measurement &m) const
 {
-    std::string out;
-    out.reserve(pretty.size());
-    for (size_t i = 0; i < pretty.size(); ++i) {
-        if (pretty[i] == '\n') {
-            while (i + 1 < pretty.size() && pretty[i + 1] == ' ')
-                ++i;
-            continue;
-        }
-        out += pretty[i];
-    }
-    return out;
+    return commit(point, "measurement",
+                  [&m](trace::JsonWriter &w) { writeMeasurement(w, m); });
 }
 
-/**
- * Crash-safe record of one batch's progress: a JSONL file under the
- * cache directory, one flushed line per event, so the tail after a
- * SIGKILL is at worst one torn line (which the loader skips). The
- * journal only exists while a batch has points in flight; a batch
- * that ends clean removes it.
- */
-class SweepJournal
+bool
+ResultCache::storeFailure(const SweepPoint &point,
+                          const PointFailure &f) const
 {
-  public:
-    SweepJournal(std::string path, std::uint64_t batch)
-        : path_(std::move(path))
-    {
-        std::error_code ec;
-        fs::create_directories(fs::path(path_).parent_path(), ec);
-        os_.open(path_, std::ios::trunc);
-        if (!os_) {
-            warn("cannot write sweep journal %s; an interrupted sweep "
-                 "will re-run its failed points", path_.c_str());
-            return;
-        }
-        std::ostringstream line;
-        trace::JsonWriter w(line);
-        w.beginObject();
-        w.key("journal").number(std::uint64_t(1));
-        w.key("batch").string(hashHex(batch));
-        w.key("version").string(kSimVersionTag);
-        w.endObject();
-        append(oneLine(line.str()));
-    }
-
-    void
-    start(std::uint64_t point)
-    {
-        event(point, "start");
-    }
-
-    void
-    done(std::uint64_t point)
-    {
-        event(point, "done");
-    }
-
-    void
-    failed(const PointFailure &f)
-    {
-        std::ostringstream line;
-        trace::JsonWriter w(line);
-        w.beginObject();
-        w.key("point").string(hashHex(f.hash));
-        w.key("status").string("failed");
-        w.key("label").string(f.label);
-        w.key("error").string(f.error);
-        w.key("attempts").number(std::uint64_t(f.attempts));
-        w.endObject();
-        append(oneLine(line.str()));
-    }
-
-  private:
-    void
-    event(std::uint64_t point, const char *status)
-    {
-        std::ostringstream line;
-        trace::JsonWriter w(line);
-        w.beginObject();
-        w.key("point").string(hashHex(point));
-        w.key("status").string(status);
-        w.endObject();
-        append(oneLine(line.str()));
-    }
-
-    void
-    append(const std::string &line)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!os_)
-            return;
-        os_ << line << '\n';
-        os_.flush(); // each event survives a SIGKILL right after it
-    }
-
-    std::string path_;
-    std::ofstream os_;
-    std::mutex mutex_;
-};
-
-/**
- * Failures recorded by a prior run's journal, keyed by point hash. A
- * later "start"/"done" for the same point supersedes the failure (the
- * point was retried). Torn tail lines — the expected state after a
- * crash — are skipped.
- */
-std::map<std::uint64_t, PointFailure>
-loadJournalFailures(const std::string &path)
-{
-    std::map<std::uint64_t, PointFailure> failures;
-    std::ifstream is(path);
-    if (!is)
-        return failures;
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        try {
-            const trace::JsonValue doc = trace::JsonValue::parse(line);
-            if (!doc.isObject())
-                continue;
-            const trace::JsonValue *point = doc.find("point");
-            const trace::JsonValue *status = doc.find("status");
-            if (!point || !status)
-                continue;
-            const std::uint64_t hash = std::strtoull(
-                point->asString().c_str(), nullptr, 16);
-            if (status->asString() == "failed") {
-                PointFailure f;
-                f.hash = hash;
-                if (const trace::JsonValue *l = doc.find("label"))
-                    f.label = l->asString();
-                if (const trace::JsonValue *e = doc.find("error"))
-                    f.error = e->asString();
-                if (const trace::JsonValue *a = doc.find("attempts"))
-                    f.attempts = static_cast<unsigned>(a->asNumber());
-                failures[hash] = f;
-            } else {
-                failures.erase(hash);
-            }
-        } catch (const std::exception &) {
-            continue; // torn line from the interruption
-        }
-    }
-    return failures;
+    return commit(point, "failure",
+                  [&f](trace::JsonWriter &w) { writeFailure(w, f); });
 }
-
-void
-writeFailureManifest(const std::string &path, std::uint64_t batch,
-                     size_t points,
-                     const std::vector<PointFailure> &failures)
-{
-    std::error_code ec;
-    fs::create_directories(fs::path(path).parent_path(), ec);
-    std::ofstream os(path, std::ios::trunc);
-    if (!os) {
-        warn("cannot write failure manifest %s", path.c_str());
-        return;
-    }
-    trace::JsonWriter w(os);
-    w.beginObject();
-    w.key("schema").number(std::uint64_t(1));
-    w.key("batch").string(hashHex(batch));
-    w.key("points").number(std::uint64_t(points));
-    w.key("failures").beginArray();
-    for (const PointFailure &f : failures) {
-        w.beginObject();
-        w.key("point").string(hashHex(f.hash));
-        w.key("label").string(f.label);
-        w.key("error").string(f.error);
-        w.key("attempts").number(std::uint64_t(f.attempts));
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    os << '\n';
-}
-
-} // namespace
 
 // ---------------------------------------------------------------------
 // SweepRunner
@@ -1169,10 +1023,8 @@ struct SweepProgress
     }
 };
 
-} // namespace
-
 Measurement
-SweepRunner::executePoint(const SweepPoint &point) const
+executePoint(const SweepPoint &point)
 {
     RunOptions opts = point.opts;
     opts.seed = pointSeed(point);
@@ -1185,11 +1037,45 @@ SweepRunner::executePoint(const SweepPoint &point) const
     return runTiming(programs, point.kind, point.physRegs, opts);
 }
 
+Measurement
+infraFailure(std::string error)
+{
+    Measurement m;
+    m.ok = false;
+    m.infra = true;
+    m.error = std::move(error);
+    return m;
+}
+
+/**
+ * The one in-process attempt: executePoint inside the point boundary.
+ * runTiming absorbs FatalError itself; anything that reaches here is a
+ * simulator bug. It is deterministic, so an in-process retry would fail
+ * identically: it fails the point immediately, never the batch.
+ */
+Measurement
+attemptInProcess(const SweepPoint &point)
+{
+    try {
+        return executePoint(point);
+    } catch (const std::exception &e) {
+        return infraFailure(e.what());
+    } catch (...) {
+        return infraFailure(
+            "non-standard exception escaped the simulation");
+    }
+}
+
+/**
+ * One forked attempt. True when out is valid: the child completed
+ * (including child-reported simulator errors, which are deterministic
+ * and not retried) or isolation was impossible and the point ran in
+ * process. False on a crash or deadline kill, which are retryable.
+ */
 bool
-SweepRunner::runIsolated(const SweepPoint &point,
-                         const RobustConfig &robust, unsigned attempt,
-                         Measurement &out, std::string &error,
-                         bool &timedOut) const
+runIsolated(const SweepPoint &point, const RobustConfig &robust,
+            unsigned attempt, Measurement &out, std::string &error,
+            bool &timedOut)
 {
     timedOut = false;
     const std::uint64_t hash = pointHash(point);
@@ -1200,9 +1086,9 @@ SweepRunner::runIsolated(const SweepPoint &point,
     const std::string resultPath =
         (fs::temp_directory_path(ec) / name.str()).string();
     if (ec) {
-        // No usable temp dir: isolation is impossible, fall through to
-        // the in-process path (the retry loop treats this as success).
-        out = executePoint(point);
+        // No usable temp dir: isolation is impossible, fall back to
+        // the in-process attempt.
+        out = attemptInProcess(point);
         return true;
     }
 
@@ -1217,7 +1103,7 @@ SweepRunner::runIsolated(const SweepPoint &point,
             warn("fork failed (%s); running sweep points in-process",
                  std::strerror(errno));
         }
-        out = executePoint(point);
+        out = attemptInProcess(point);
         return true;
     }
     if (pid == 0) {
@@ -1343,10 +1229,7 @@ SweepRunner::runIsolated(const SweepPoint &point,
             // report it as a completed infra failure, not a retryable
             // crash.
             const trace::JsonValue *e = doc.find("error");
-            out = Measurement{};
-            out.ok = false;
-            out.infra = true;
-            out.error = e ? e->asString() : "unknown worker error";
+            out = infraFailure(e ? e->asString() : "unknown worker error");
             return true;
         }
         if (const trace::JsonValue *host = doc.find("host")) {
@@ -1378,11 +1261,16 @@ SweepRunner::runIsolated(const SweepPoint &point,
     }
 }
 
+/**
+ * The full attempt loop for one point: isolation, deadline, retries
+ * with backoff. Returns either a genuine Measurement (cached, even when
+ * !ok) or an infra-failure Measurement (infra=true; recorded as the
+ * point's failure entry). Reports the attempts consumed and deadline
+ * expirations for the batch counters.
+ */
 Measurement
-SweepRunner::runPointAttempts(const SweepPoint &point,
-                              const RobustConfig &robust,
-                              unsigned &attempts,
-                              unsigned &timeouts) const
+runPointAttempts(const SweepPoint &point, const RobustConfig &robust,
+                 unsigned &attempts, unsigned &timeouts)
 {
     const unsigned maxAttempts = robust.retries + 1;
     std::string lastError = "point failed";
@@ -1405,32 +1293,12 @@ SweepRunner::runPointAttempts(const SweepPoint &point,
             lastError = error;
             continue; // crash or deadline kill: retryable
         }
-        try {
-            return executePoint(point);
-        } catch (const std::exception &e) {
-            // runTiming absorbs FatalError itself; anything that
-            // reaches here is a simulator bug. It is deterministic, so
-            // an in-process retry would fail identically: fail the
-            // point immediately, never the batch.
-            Measurement m;
-            m.ok = false;
-            m.infra = true;
-            m.error = e.what();
-            return m;
-        } catch (...) {
-            Measurement m;
-            m.ok = false;
-            m.infra = true;
-            m.error = "non-standard exception escaped the simulation";
-            return m;
-        }
+        return attemptInProcess(point);
     }
-    Measurement m;
-    m.ok = false;
-    m.infra = true;
-    m.error = lastError;
-    return m;
+    return infraFailure(lastError);
 }
+
+} // namespace
 
 std::vector<Measurement>
 SweepRunner::run(const std::vector<SweepPoint> &points)
@@ -1461,13 +1329,6 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
     }
     pointsTotal += static_cast<double>(points.size());
 
-    // The batch identity for journal/manifest names (batchHash()
-    // without re-deriving every key).
-    std::vector<std::uint64_t> uniqueHashes;
-    for (const Work &w : unique)
-        uniqueHashes.push_back(w.hash);
-    const std::uint64_t batch = batchHashOf(uniqueHashes);
-
     struct Latch
     {
         std::mutex mutex;
@@ -1486,18 +1347,10 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
         tw = traceWriter_;
     }
 
-    // Under --resume, failures a prior interrupted run already burned
-    // a full retry budget on are replayed from the journal instead of
-    // re-simulated. Must be read before the journal is recreated.
-    std::map<std::uint64_t, PointFailure> priorFailed;
-    if (cache_.enabled() && robustCfg.resume) {
-        priorFailed =
-            loadJournalFailures(journalPath(cache_.dir(), batch));
-    }
-
     std::vector<const Work *> toRun;
     for (const Work &w : unique) {
         Measurement m;
+        PointFailure prior;
         const double hitStart = tw ? tw->hostNowUs() : 0;
         if (cache_.load(*w.point, m)) {
             ++hits;
@@ -1507,15 +1360,14 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
             }
             for (size_t slot : w.slots)
                 results[slot] = m;
-        } else if (auto it = priorFailed.find(w.hash);
-                   it != priorFailed.end()) {
-            Measurement fm;
-            fm.ok = false;
-            fm.infra = true;
-            fm.error = it->second.error;
+        } else if (robustCfg.resume &&
+                   cache_.loadFailure(*w.point, prior)) {
+            // A prior run already burned a full retry budget on this
+            // point: replay its recorded failure, do not re-simulate.
+            const Measurement fm = infraFailure(prior.error);
             for (size_t slot : w.slots)
                 results[slot] = fm;
-            failures.push_back(it->second);
+            failures.push_back(std::move(prior));
             ++replayed;
             ++infraFailed;
             ++failed;
@@ -1536,28 +1388,14 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
         }
     }
 
-    // The journal exists only while points are in flight, so a fully
-    // warm batch costs nothing and leaves nothing behind.
-    std::unique_ptr<SweepJournal> journal;
-    if (cache_.enabled() && !toRun.empty()) {
-        journal = std::make_unique<SweepJournal>(
-            journalPath(cache_.dir(), batch), batch);
-        // Replayed failures must survive into the fresh journal or a
-        // second --resume would re-simulate them.
-        for (const PointFailure &f : failures)
-            journal->failed(f);
-    }
-
     SweepProgress progress;
     progress.init(unique.size(), hits + replayed);
 
     for (const Work *w : toRun) {
         pool_->submit([this, w, &results, &latch, &statsMutex, &failed,
                        &infraFailed, &retried, &timedOut, &failures,
-                       &journal, &robustCfg, tw, &progress] {
+                       &robustCfg, tw, &progress] {
             progress.onStart();
-            if (journal)
-                journal->start(w->hash);
             const int lane = tw ? hostLaneFor(*tw) : 0;
             const double simStart = tw ? tw->hostNowUs() : 0;
             unsigned attempts = 1, pointTimeouts = 0;
@@ -1568,30 +1406,26 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
                           "sim " + pointLabel(*w->point), simStart,
                           tw->hostNowUs() - simStart);
             }
-            // Infra failures are transient by definition — never
-            // memoize one, or a crash would poison every later run.
-            if (!m.infra)
+            // Every outcome is recorded in the point's entry. An infra
+            // failure is a failure entry, never a measurement: load()
+            // misses on it, so a crash cannot poison later runs.
+            PointFailure failure;
+            if (m.infra) {
+                failure = PointFailure{pointLabel(*w->point), w->hash,
+                                       m.error, attempts};
+                cache_.storeFailure(*w->point, failure);
+            } else {
                 cache_.store(*w->point, m);
+            }
             for (size_t slot : w->slots)
                 results[slot] = m;
-            if (journal) {
-                if (m.infra) {
-                    journal->failed(PointFailure{pointLabel(*w->point),
-                                                 w->hash, m.error,
-                                                 attempts});
-                } else {
-                    journal->done(w->hash);
-                }
-            }
             {
                 std::lock_guard<std::mutex> lock(statsMutex);
                 if (!m.ok)
                     ++failed;
                 if (m.infra) {
                     ++infraFailed;
-                    failures.push_back(
-                        PointFailure{pointLabel(*w->point), w->hash,
-                                     m.error, attempts});
+                    failures.push_back(std::move(failure));
                 }
                 retried += attempts - 1;
                 timedOut += pointTimeouts;
@@ -1608,32 +1442,13 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
     }
     progress.finish();
 
-    // Deterministic order for manifests, reports and tests regardless
-    // of worker scheduling.
+    // Deterministic order for reports and tests regardless of worker
+    // scheduling.
     std::sort(failures.begin(), failures.end(),
               [](const PointFailure &a, const PointFailure &b) {
                   return a.label != b.label ? a.label < b.label
                                             : a.hash < b.hash;
               });
-
-    journal.reset(); // close before deciding its fate
-    if (cache_.enabled()) {
-        std::error_code ec;
-        if (failures.empty()) {
-            // Clean batch: nothing to resume, nothing to report. The
-            // parent directories go too once empty, so a healthy
-            // cache looks exactly as it did before journaling existed.
-            const fs::path jpath = journalPath(cache_.dir(), batch);
-            const fs::path mpath = manifestPath(cache_.dir(), batch);
-            fs::remove(jpath, ec);
-            fs::remove(jpath.parent_path(), ec); // rmdir, if empty
-            fs::remove(mpath, ec);
-            fs::remove(mpath.parent_path(), ec);
-        } else {
-            writeFailureManifest(manifestPath(cache_.dir(), batch),
-                                 batch, points.size(), failures);
-        }
-    }
 
     {
         std::lock_guard<std::mutex> lock(failuresMutex_);

@@ -28,14 +28,15 @@
  *  - Deadlines and retries: isolate-mode points get a wall-clock
  *    deadline (SIGKILL + retry with exponential backoff); attempts
  *    that keep failing become a structured PointFailure with
- *    Measurement::infra set, never a cached result.
- *  - Crash-safe journaling: while any point is in flight, a per-batch
- *    JSONL journal under "<cache>/journal/" records started, done and
- *    failed points. After a SIGKILL mid-sweep, a RobustConfig::resume
- *    run re-simulates only the points missing from the cache and
- *    replays journaled failures without burning their retry budget.
- *    Batches that end with failures also leave a machine-readable
- *    manifest under "<cache>/manifests/".
+ *    Measurement::infra set, never a cached measurement.
+ *  - Failures are cache entries: a point that exhausts its attempts
+ *    leaves a negative entry ("failure": label, error, attempts) at its
+ *    usual "<hash>.json" path, checksummed like a measurement and never
+ *    served as one. A RobustConfig::resume run replays it instead of
+ *    burning another retry budget, in any batch containing the point;
+ *    a plain run retries it and overwrites it with the outcome. After
+ *    a SIGKILL mid-sweep, committed entries are kept, so a rerun
+ *    simulates only the missing points.
  *  - Cache integrity: entries are checksummed end-to-end; corrupt,
  *    truncated or wrong-schema entries are quarantined to
  *    "<cache>/quarantine/" and transparently re-simulated, and write
@@ -55,7 +56,7 @@
  *   VCA_RETRIES     extra attempts after a crash/timeout (default 2)
  *   VCA_RETRY_BACKOFF_MS  first retry delay, doubling per retry
  *                   (default 100)
- *   VCA_RESUME      1 replays journaled failures instead of retrying
+ *   VCA_RESUME      1 replays recorded failures instead of retrying
  *   VCA_FAULT_INJECT  deterministic chaos spec (sim/fault_inject.hh)
  *
  * Bump kSimVersionTag whenever a change affects simulated numbers —
@@ -67,6 +68,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -83,6 +85,10 @@ class ThreadPool;
 
 namespace vca::telemetry {
 class ChromeTraceWriter;
+}
+
+namespace vca::trace {
+class JsonWriter;
 }
 
 namespace vca::analysis {
@@ -136,20 +142,6 @@ std::string measurementToJson(const Measurement &m);
 Measurement measurementFromJson(const std::string &text);
 
 /**
- * Content hash naming a batch: FNV-1a over the sorted set of unique
- * point hashes, so the same sweep resolves to the same journal and
- * manifest regardless of point order or duplicates.
- */
-std::uint64_t batchHash(const std::vector<SweepPoint> &points);
-
-/** "<cacheDir>/journal/<batch>.jsonl": the crash-safe batch journal. */
-std::string journalPath(const std::string &cacheDir, std::uint64_t batch);
-
-/** "<cacheDir>/manifests/<batch>.json": per-batch failure manifest. */
-std::string manifestPath(const std::string &cacheDir,
-                         std::uint64_t batch);
-
-/**
  * Execution-robustness knobs for a SweepRunner; the defaults keep the
  * historical in-process, fail-fast behaviour. fromEnv() is what
  * SweepConfig uses, so VCA_ISOLATE=1 turns on isolation for every
@@ -166,16 +158,18 @@ struct RobustConfig
     unsigned retries = 2;
     /** Delay before the first retry, doubling per further retry. */
     unsigned backoffMs = 100;
-    /** Replay journaled failures instead of re-running their retry
-     *  budget; also what makes an interrupted sweep cheap to redo. */
+    /** Replay a point's recorded failure entry instead of re-running
+     *  its retry budget. Off, a recorded failure is retried and its
+     *  entry overwritten by the new outcome. */
     bool resume = false;
 
     static RobustConfig fromEnv();
 };
 
 /**
- * One point that exhausted its attempts: the structured record that
- * lands in the batch manifest and in SweepRunner::lastFailures().
+ * One point that exhausted its attempts: the structured record stored
+ * as the point's failure entry and reported by
+ * SweepRunner::lastFailures().
  */
 struct PointFailure
 {
@@ -186,11 +180,13 @@ struct PointFailure
 };
 
 /**
- * On-disk Measurement store: one "<hash>.json" file per point under
- * dir, written atomically (temp file + rename), validated on load
- * against the entry schema, the full key string and a content
- * checksum, so hash collisions, stale version tags, truncated files
- * and bit-flipped bytes all read as misses. Invalid entries are moved
+ * On-disk record of sweep outcomes: one "<hash>.json" file per point
+ * under dir holding either its Measurement or, for a point that
+ * exhausted its attempts, its PointFailure. Entries are written
+ * atomically (temp file + rename) and validated on load against the
+ * entry schema, the full key string and a content checksum, so hash
+ * collisions, stale version tags, truncated files and bit-flipped
+ * bytes all read as misses. Invalid entries are moved
  * to "<dir>/quarantine/<name>.<reason>" for post-mortem rather than
  * deleted, and the sweep re-simulates — corruption is never fatal.
  * Failed writes (ENOSPC, read-only dir, injected faults) downgrade to
@@ -211,14 +207,24 @@ class ResultCache
     bool enabled() const { return !dir_.empty(); }
     const std::string &dir() const { return dir_; }
 
-    /** True and fills out on a valid cached entry for this point. */
+    /**
+     * True and fills out on a valid measurement entry for this point.
+     * A valid failure entry is an ordinary miss.
+     */
     bool load(const SweepPoint &point, Measurement &out) const;
+
+    /** True and fills out on a valid failure entry for this point. */
+    bool loadFailure(const SweepPoint &point, PointFailure &out) const;
 
     /**
      * Persist one point's measurement. False when the entry could not
      * be committed (the sweep simply stays uncached); never throws.
      */
     bool store(const SweepPoint &point, const Measurement &m) const;
+
+    /** Persist one point's failure, replacing any entry; as store(). */
+    bool storeFailure(const SweepPoint &point,
+                      const PointFailure &f) const;
 
     /** The cache directory from VCA_CACHE_DIR (default .vca-cache). */
     static std::string defaultDir();
@@ -240,6 +246,21 @@ class ResultCache
 
   private:
     std::string pathFor(const SweepPoint &point) const;
+
+    /**
+     * Read and verify the point's entry. Fills whichever of m / f the
+     * entry holds and returns which one (Miss when there is no valid
+     * entry; invalid entries are quarantined).
+     */
+    enum class Entry { Miss, Measurement, Failure };
+    Entry read(const SweepPoint &point, Measurement &m,
+               PointFailure &f) const;
+
+    /** Atomically write an entry whose payload, written by body, is
+     *  the member `field` (store() and storeFailure()). */
+    bool commit(const SweepPoint &point, const char *field,
+                const std::function<void(trace::JsonWriter &)> &body)
+        const;
 
     /** Move an invalid entry aside (never throws; warns once). */
     void quarantineEntry(const std::string &path,
@@ -333,31 +354,6 @@ class SweepRunner : public stats::StatGroup
     void setTraceWriter(telemetry::ChromeTraceWriter *writer);
 
   private:
-    Measurement executePoint(const SweepPoint &point) const;
-
-    /**
-     * The full attempt loop for one point: isolation, deadline,
-     * retries with backoff. Returns either a genuine Measurement
-     * (cacheable, even when !ok) or an infra-failure Measurement
-     * (infra=true, never cached). Reports the attempts consumed and
-     * deadline expirations for the batch counters.
-     */
-    Measurement runPointAttempts(const SweepPoint &point,
-                                 const RobustConfig &robust,
-                                 unsigned &attempts,
-                                 unsigned &timeouts) const;
-
-    /**
-     * One forked attempt. True when the child completed and out is
-     * valid (including child-reported simulator errors, which are
-     * deterministic and not retried); false on a crash or deadline
-     * kill, which are retryable.
-     */
-    bool runIsolated(const SweepPoint &point,
-                     const RobustConfig &robust, unsigned attempt,
-                     Measurement &out, std::string &error,
-                     bool &timedOut) const;
-
     /** Stable lane id for the calling thread (0 = submitting thread). */
     int hostLaneFor(telemetry::ChromeTraceWriter &writer);
 

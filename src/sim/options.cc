@@ -1,6 +1,7 @@
 #include "sim/options.hh"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -89,15 +90,35 @@ Options::get(const std::string &name) const
 }
 
 std::uint64_t
+parseU64(const std::string &what, const std::string &text)
+{
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (text.empty() || ec != std::errc() || ptr != end)
+        fatal("%s wants an unsigned integer, got '%s'", what.c_str(),
+              text.c_str());
+    return v;
+}
+
+std::uint64_t
 Options::getU64(const std::string &name) const
 {
-    return std::strtoull(get(name).c_str(), nullptr, 10);
+    return parseU64("--" + name, get(name));
 }
 
 double
 Options::getDouble(const std::string &name) const
 {
-    return std::strtod(get(name).c_str(), nullptr);
+    const std::string text = get(name);
+    double v = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (text.empty() || ec != std::errc() || ptr != end ||
+        !std::isfinite(v))
+        fatal("--%s wants a finite number, got '%s'", name.c_str(),
+              text.c_str());
+    return v;
 }
 
 bool

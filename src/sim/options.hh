@@ -31,6 +31,8 @@ class Options
     bool parse(int argc, const char *const *argv);
 
     std::string get(const std::string &name) const;
+    /** The value as a complete unsigned integer / finite number;
+     *  throws FatalError naming the option otherwise. */
     std::uint64_t getU64(const std::string &name) const;
     double getDouble(const std::string &name) const;
     bool getBool(const std::string &name) const;
@@ -61,6 +63,10 @@ class Options
     std::vector<std::string> positional_;
     std::string error_;
 };
+
+/** text as a complete unsigned integer; throws FatalError naming
+ *  what otherwise. */
+std::uint64_t parseU64(const std::string &what, const std::string &text);
 
 } // namespace vca
 

@@ -3,10 +3,11 @@
  * Fault-tolerance tests: the deterministic fault-injection harness,
  * cache integrity (every corruption variant quarantines and
  * re-simulates bit-identically), process-isolated workers with
- * deadlines and retries, crash-safe journaling with --resume, and
- * the chaos property the whole layer exists for — a sweep under
- * injected crashes, hangs, corrupt reads and failed writes produces
- * exactly the same Measurements as a clean run.
+ * deadlines and retries, failures recorded as cache entries and
+ * replayed under resume, SIGKILL-then-resume, and the chaos property
+ * the whole layer exists for — a sweep under injected crashes, hangs,
+ * corrupt reads and failed writes produces exactly the same
+ * Measurements as a clean run.
  */
 
 #include <gtest/gtest.h>
@@ -114,15 +115,16 @@ referenceFor(const SweepPoint &point)
 
 /**
  * Corrupt-then-repair scaffold shared by the cache-integrity tests:
- * seed a cache with one entry, let `corrupt` damage it, and check the
- * damaged entry reads as a miss, lands in quarantine, and a re-run
+ * seed a cache with one entry (the point's measurement, or with
+ * seedFailure a recorded failure), let `corrupt` damage it, and check
+ * the damaged entry reads as a miss, lands in quarantine, and a re-run
  * reproduces the reference measurement bit-identically.
  */
 void
 expectQuarantineAndRepair(
     const char *dirName,
     const std::function<void(const fs::path &entry)> &corrupt,
-    bool expectSchemaMiss = false)
+    bool expectSchemaMiss = false, bool seedFailure = false)
 {
     const std::string dir = freshCacheDir(dirName);
     const auto point =
@@ -132,7 +134,11 @@ expectQuarantineAndRepair(
     SweepConfig cfg;
     cfg.cacheDir = dir;
     cfg.jobs = 1;
-    {
+    if (seedFailure) {
+        ASSERT_TRUE(ResultCache(dir).storeFailure(
+            point, PointFailure{"gap/vca/128", 0,
+                                "worker killed by signal 9", 2}));
+    } else {
         SweepRunner seeder(cfg);
         ASSERT_EQ(seeder.runPoint(point), ref);
     }
@@ -142,6 +148,11 @@ expectQuarantineAndRepair(
     corrupt(entry);
 
     SweepRunner reader(cfg);
+    PointFailure failure;
+    if (seedFailure) {
+        EXPECT_FALSE(reader.cache().loadFailure(point, failure))
+            << "a damaged failure entry must never replay";
+    }
     Measurement loaded;
     EXPECT_FALSE(reader.cache().load(point, loaded))
         << "a damaged entry must read as a miss, never as data";
@@ -309,6 +320,22 @@ TEST(RobustCache, TornDirectWriteQuarantines)
     });
 }
 
+TEST(RobustCache, BitFlippedFailureEntryQuarantines)
+{
+    // Flip one bit inside the recorded error text: the JSON stays
+    // valid, so only the failure payload's checksum can notice.
+    expectQuarantineAndRepair(
+        "failureflip",
+        [](const fs::path &entry) {
+            std::string text = slurp(entry);
+            const auto at = text.find("signal 9");
+            ASSERT_NE(at, std::string::npos);
+            text[at + 7] ^= 0x01; // '9' -> '8'
+            spew(entry, text);
+        },
+        /*expectSchemaMiss=*/false, /*seedFailure=*/true);
+}
+
 TEST(RobustCache, ConcurrentTornReadsNeverCrash)
 {
     // One writer rewrites an entry with alternating garbage/valid
@@ -465,6 +492,45 @@ TEST(RobustRunner, IsolatedSweepMatchesInProcess)
     EXPECT_EQ(runner.lastFailures().size(), 0u);
 }
 
+TEST(RobustRunner, IsolateWithoutTempDirFallsBackInProcess)
+{
+    const auto points = smallSweep();
+    const auto ref = referenceSweep(points);
+
+    // temp_directory_path() fails on a TMPDIR that does not exist, so
+    // isolation is impossible and every point takes the fallback.
+    struct TmpDirGuard
+    {
+        const char *saved = std::getenv("TMPDIR");
+        std::string value = saved ? saved : "";
+        TmpDirGuard() { setenv("TMPDIR", "/nonexistent", 1); }
+        ~TmpDirGuard()
+        {
+            if (saved)
+                setenv("TMPDIR", value.c_str(), 1);
+            else
+                unsetenv("TMPDIR");
+        }
+    };
+    SweepConfig cfg;
+    cfg.cacheDir.clear();
+    cfg.jobs = 1;
+    cfg.robust.isolate = true;
+    cfg.robust.backoffMs = 1;
+    SweepRunner runner(cfg);
+    const std::uint64_t simsBefore = runTimingCallCount();
+    std::vector<Measurement> results;
+    {
+        TmpDirGuard noTmp;
+        results = runner.run(points);
+    }
+    EXPECT_EQ(results, ref);
+    EXPECT_EQ(runner.lastFailures().size(), 0u);
+    EXPECT_EQ(runner.pointsRetried.value(), 0.0);
+    // In-process: every simulation counted here, none in a child.
+    EXPECT_EQ(runTimingCallCount() - simsBefore, points.size());
+}
+
 TEST(RobustRunner, CrashedWorkersRetryToSuccess)
 {
     InjectorGuard guard;
@@ -517,7 +583,6 @@ TEST(RobustRunner, ExhaustedRetriesBecomeStructuredFailures)
     const std::string dir = freshCacheDir("failures");
     const auto points = smallSweep();
     const auto ref = referenceSweep(points);
-    const std::uint64_t batch = batchHash(points);
 
     // attempts=10 > retries: every attempt dies, the point fails.
     FaultInjector::installGlobal("seed=23,crash=1,attempts=10");
@@ -545,14 +610,22 @@ TEST(RobustRunner, ExhaustedRetriesBecomeStructuredFailures)
         }
         EXPECT_EQ(runner.pointsInfraFailed.value(),
                   double(points.size()));
-        // Infra failures are never cached, and the batch leaves both
-        // a manifest and a journal for post-mortem and resume.
-        EXPECT_TRUE(soleEntryPath(dir).empty());
-        EXPECT_TRUE(fs::exists(manifestPath(dir, batch)));
-        EXPECT_TRUE(fs::exists(journalPath(dir, batch)));
+        // Each failure is the point's cache entry: never served as a
+        // measurement, and not an invalid entry either.
+        for (const auto &p : points) {
+            Measurement m;
+            EXPECT_FALSE(runner.cache().load(p, m));
+            PointFailure f;
+            ASSERT_TRUE(runner.cache().loadFailure(p, f));
+            EXPECT_EQ(f.hash, pointHash(p));
+            EXPECT_EQ(f.attempts, 2u);
+            EXPECT_NE(f.error.find("worker"), std::string::npos);
+        }
+        EXPECT_EQ(runner.cache().quarantined(), 0u);
+        EXPECT_EQ(runner.cache().schemaMisses(), 0u);
     }
 
-    // A resume run replays the journaled failures without burning
+    // A resume run replays the recorded failures without burning
     // another retry budget: zero simulations, zero forked children.
     {
         cfg.robust.resume = true;
@@ -568,18 +641,70 @@ TEST(RobustRunner, ExhaustedRetriesBecomeStructuredFailures)
         // Replayed, not re-attempted: a re-run under crash=1 would
         // burn a retry per point.
         EXPECT_EQ(resumer.pointsRetried.value(), 0.0);
+        EXPECT_EQ(resumer.cacheMisses.value(), 0.0);
     }
     setQuiet(false);
 
-    // With the fault gone, the same sweep heals: identical to the
-    // reference, and the journal/manifest are cleaned up.
+    // With the fault gone, a plain (non-resume) run retries the
+    // recorded failures and heals: identical to the reference, and
+    // each failure entry is overwritten by a normal hit.
     FaultInjector::installGlobal("");
     cfg.robust.resume = false;
     SweepRunner healed(cfg);
     EXPECT_EQ(healed.run(points), ref);
     EXPECT_EQ(healed.lastFailures().size(), 0u);
-    EXPECT_FALSE(fs::exists(manifestPath(dir, batch)));
-    EXPECT_FALSE(fs::exists(journalPath(dir, batch)));
+    for (size_t i = 0; i < points.size(); ++i) {
+        Measurement m;
+        EXPECT_TRUE(healed.cache().load(points[i], m));
+        EXPECT_EQ(m, ref[i]);
+        PointFailure f;
+        EXPECT_FALSE(healed.cache().loadFailure(points[i], f));
+    }
+    EXPECT_EQ(healed.cache().quarantined(), 0u);
+}
+
+TEST(RobustResume, RecordedFailureReplaysInAnyBatch)
+{
+    InjectorGuard guard;
+    const std::string dir = freshCacheDir("replay");
+    const auto failing =
+        makePoint("gap", cpu::RenamerKind::Vca, 128, tinyOptions());
+    const auto fresh =
+        makePoint("gap", cpu::RenamerKind::Vca, 160, tinyOptions());
+    const Measurement freshRef = referenceFor(fresh);
+
+    // Batch A: its one point exhausts its attempts.
+    FaultInjector::installGlobal("seed=31,crash=1,attempts=10");
+    SweepConfig cfg;
+    cfg.cacheDir = dir;
+    cfg.jobs = 1;
+    cfg.robust.isolate = true;
+    cfg.robust.retries = 1;
+    cfg.robust.backoffMs = 1;
+    setQuiet(true);
+    {
+        SweepRunner a(cfg);
+        ASSERT_TRUE(a.runPoint(failing).infra);
+    }
+    setQuiet(false);
+    FaultInjector::installGlobal("");
+
+    // Batch B holds the failed point plus a new one. Replay is keyed
+    // by point, not batch: under resume only the new point simulates
+    // (in process, so this process counts it).
+    cfg.robust.isolate = false;
+    cfg.robust.resume = true;
+    SweepRunner b(cfg);
+    const std::uint64_t simsBefore = runTimingCallCount();
+    const auto results = b.run({fresh, failing});
+    EXPECT_EQ(runTimingCallCount() - simsBefore, 1u);
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0], freshRef);
+    EXPECT_TRUE(results[1].infra);
+    const auto failures = b.lastFailures();
+    ASSERT_EQ(failures.size(), 1u);
+    EXPECT_EQ(failures[0].hash, pointHash(failing));
+    EXPECT_EQ(failures[0].attempts, 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -681,7 +806,5 @@ TEST(RobustResume, KilledSweepResumesOnlyMissingPoints)
     EXPECT_EQ(runTimingCallCount() - simsBefore,
               points.size() - committed);
     EXPECT_EQ(resumer.lastFailures().size(), 0u);
-
-    // The clean finish cleans up the batch journal.
-    EXPECT_FALSE(fs::exists(journalPath(dir, batchHash(points))));
+    EXPECT_EQ(countEntries(), points.size());
 }

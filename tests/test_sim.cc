@@ -74,6 +74,45 @@ TEST(Options, MissingValueFails)
     EXPECT_FALSE(o.parse(2, argv));
 }
 
+TEST(Options, NumericGettersAcceptCompleteNumbers)
+{
+    Options o;
+    o.add("insts", "200000", "");
+    o.add("timeout", "0", "");
+    const char *argv[] = {"prog", "--insts=18446744073709551615",
+                          "--timeout=2.5e-1"};
+    ASSERT_TRUE(o.parse(3, argv));
+    EXPECT_EQ(o.getU64("insts"), 18446744073709551615ull);
+    EXPECT_DOUBLE_EQ(o.getDouble("timeout"), 0.25);
+}
+
+TEST(Options, MalformedNumbersAreFatalAndNameTheOption)
+{
+    for (const char *bad : {"abc", "12k", "", " 7", "-1", "+1", "1.5",
+                            "18446744073709551616"}) {
+        Options o;
+        o.add("regs", "256", "");
+        const std::string arg = std::string("--regs=") + bad;
+        const char *argv[] = {"prog", arg.c_str()};
+        ASSERT_TRUE(o.parse(2, argv));
+        try {
+            o.getU64("regs");
+            ADD_FAILURE() << "getU64 accepted '" << bad << "'";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("--regs"),
+                      std::string::npos);
+        }
+    }
+    for (const char *bad : {"abc", "1s", "", "inf", "nan", "1e999"}) {
+        Options o;
+        o.add("timeout", "0", "");
+        const std::string arg = std::string("--timeout=") + bad;
+        const char *argv[] = {"prog", arg.c_str()};
+        ASSERT_TRUE(o.parse(2, argv));
+        EXPECT_THROW(o.getDouble("timeout"), FatalError) << bad;
+    }
+}
+
 TEST(Options, UsageListsEverything)
 {
     Options o;

@@ -61,10 +61,8 @@ renderLane(const trace::PipeRecord &rec, unsigned width)
     return lane;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+pipeviewMain(int argc, char **argv)
 {
     Options opts;
     opts.add("width", "48",
@@ -79,7 +77,7 @@ main(int argc, char **argv)
     if (!opts.parse(argc, argv)) {
         std::fprintf(stderr, "error: %s\n%s", opts.error().c_str(),
                      opts.usage("vca-pipeview [trace file|-]").c_str());
-        return 1;
+        return 2;
     }
     if (opts.getBool("help")) {
         std::fputs(opts.usage("vca-pipeview [trace file|-]").c_str(),
@@ -125,7 +123,9 @@ main(int argc, char **argv)
         std::max(1u, static_cast<unsigned>(opts.getU64("width")));
     const std::string tidOpt = opts.get("tid");
     const long long tidFilter =
-        (tidOpt.empty() || tidOpt == "-1") ? -1 : std::stoll(tidOpt);
+        (tidOpt.empty() || tidOpt == "-1")
+        ? -1
+        : static_cast<long long>(opts.getU64("tid"));
     const std::uint64_t maxInsts = opts.getU64("insts");
 
     std::printf("f=fetch d=decode n=rename p=dispatch i=issue "
@@ -148,4 +148,19 @@ main(int argc, char **argv)
     std::printf("%llu instructions rendered\n",
                 (unsigned long long)shown);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Malformed option values raise FatalError: report them as bad
+    // usage rather than std::terminate.
+    try {
+        return pipeviewMain(argc, argv);
+    } catch (const vca::FatalError &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+    }
 }

@@ -27,7 +27,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -78,6 +77,33 @@ parseArch(const std::string &name)
         return cpu::RenamerKind::Vca;
     fatal("unknown --arch '%s' (baseline|regwindow|ideal|vca)",
           name.c_str());
+}
+
+/** The RunOptions the workload and mode flags describe. */
+analysis::RunOptions
+runOptionsFromFlags(const Options &opts, analysis::SimMode mode,
+                    size_t threads)
+{
+    analysis::RunOptions runOpts;
+    runOpts.warmupInsts = opts.getU64("warmup");
+    runOpts.measureInsts = opts.getU64("insts");
+    runOpts.dcachePorts =
+        static_cast<unsigned>(opts.getU64("dcache-ports"));
+    runOpts.numThreads = static_cast<unsigned>(threads);
+    runOpts.stopOnFirstThread = threads > 1;
+    runOpts.overrides.astqEntries =
+        static_cast<unsigned>(opts.getU64("astq"));
+    runOpts.overrides.vcaTableAssoc =
+        static_cast<unsigned>(opts.getU64("table-assoc"));
+    runOpts.overrides.vcaDeadValueHints =
+        opts.getBool("dead-hints") ? 1 : -1;
+    runOpts.regTelemetry = opts.getBool("reg-telemetry");
+    runOpts.mode = mode;
+    runOpts.samplePeriodInsts = opts.getU64("sample-period");
+    runOpts.sampleQuantumInsts = opts.getU64("sample-quantum");
+    runOpts.sampleFuncWarmInsts = opts.getU64("sample-func-warm");
+    runOpts.sampleDetailWarmInsts = opts.getU64("sample-detail-warm");
+    return runOpts;
 }
 
 int
@@ -162,7 +188,7 @@ simMain(int argc, char **argv)
              "timeout (empty = VCA_RETRIES, default 2)");
     opts.add("resume", "false",
              "sweep mode: resume an interrupted sweep — simulate only "
-             "points missing from the cache and replay journaled "
+             "points missing from the cache and replay recorded "
              "failures instead of retrying them");
     opts.add("list-benches", "false", "list bundled benchmarks and exit");
     opts.add("quiet", "true", "suppress warnings");
@@ -171,7 +197,7 @@ simMain(int argc, char **argv)
     if (!opts.parse(argc, argv)) {
         std::fprintf(stderr, "error: %s\n%s", opts.error().c_str(),
                      opts.usage("vca-sim").c_str());
-        return 1;
+        return 2;
     }
     if (opts.getBool("help")) {
         std::fputs(opts.usage("vca-sim").c_str(), stdout);
@@ -249,8 +275,7 @@ simMain(int argc, char **argv)
         std::vector<unsigned> sizes;
         for (const std::string &s : splitCommas(opts.get("sweep-regs")))
             sizes.push_back(
-                static_cast<unsigned>(std::strtoul(s.c_str(), nullptr,
-                                                   10)));
+                static_cast<unsigned>(parseU64("--sweep-regs entry", s)));
         std::vector<cpu::RenamerKind> archs;
         if (opts.get("arch") == "all") {
             archs = {cpu::RenamerKind::Baseline,
@@ -261,26 +286,8 @@ simMain(int argc, char **argv)
             archs = {parseArch(opts.get("arch"))};
         }
 
-        analysis::RunOptions runOpts;
-        runOpts.warmupInsts = opts.getU64("warmup");
-        runOpts.measureInsts = opts.getU64("insts");
-        runOpts.dcachePorts =
-            static_cast<unsigned>(opts.getU64("dcache-ports"));
-        runOpts.numThreads = static_cast<unsigned>(benchNames.size());
-        runOpts.stopOnFirstThread = benchNames.size() > 1;
-        runOpts.overrides.astqEntries =
-            static_cast<unsigned>(opts.getU64("astq"));
-        runOpts.overrides.vcaTableAssoc =
-            static_cast<unsigned>(opts.getU64("table-assoc"));
-        runOpts.overrides.vcaDeadValueHints =
-            opts.getBool("dead-hints") ? 1 : -1;
-        runOpts.regTelemetry = opts.getBool("reg-telemetry");
-        runOpts.mode = simMode;
-        runOpts.samplePeriodInsts = opts.getU64("sample-period");
-        runOpts.sampleQuantumInsts = opts.getU64("sample-quantum");
-        runOpts.sampleFuncWarmInsts = opts.getU64("sample-func-warm");
-        runOpts.sampleDetailWarmInsts =
-            opts.getU64("sample-detail-warm");
+        const analysis::RunOptions runOpts =
+            runOptionsFromFlags(opts, simMode, benchNames.size());
 
         std::vector<analysis::SweepPoint> points;
         for (cpu::RenamerKind arch : archs) {
@@ -304,9 +311,10 @@ simMain(int argc, char **argv)
             if (isolate != "auto")
                 robust.isolate = isolate == "true" || isolate == "1";
             if (!opts.get("point-timeout").empty()) {
-                robust.pointTimeoutSec =
-                    std::strtod(opts.get("point-timeout").c_str(),
-                                nullptr);
+                robust.pointTimeoutSec = opts.getDouble("point-timeout");
+                if (robust.pointTimeoutSec < 0)
+                    fatal("--point-timeout wants seconds >= 0, got '%s'",
+                          opts.get("point-timeout").c_str());
             }
             if (!opts.get("retries").empty()) {
                 robust.retries = static_cast<unsigned>(
@@ -389,13 +397,6 @@ simMain(int argc, char **argv)
                              f.label.c_str(), f.error.c_str(),
                              f.attempts, f.attempts == 1 ? "" : "s");
             }
-            if (runner.cache().enabled()) {
-                std::fprintf(
-                    stderr, "sweep: failure manifest: %s\n",
-                    analysis::manifestPath(runner.cache().dir(),
-                                           analysis::batchHash(points))
-                        .c_str());
-            }
             return 3;
         }
         return 0;
@@ -417,25 +418,8 @@ simMain(int argc, char **argv)
     // compact summary with the func/host throughput split the
     // accuracy gate parses.
     if (simMode != analysis::SimMode::Detailed) {
-        analysis::RunOptions runOpts;
-        runOpts.warmupInsts = opts.getU64("warmup");
-        runOpts.measureInsts = opts.getU64("insts");
-        runOpts.dcachePorts =
-            static_cast<unsigned>(opts.getU64("dcache-ports"));
-        runOpts.numThreads = static_cast<unsigned>(programs.size());
-        runOpts.stopOnFirstThread = programs.size() > 1;
-        runOpts.overrides.astqEntries =
-            static_cast<unsigned>(opts.getU64("astq"));
-        runOpts.overrides.vcaTableAssoc =
-            static_cast<unsigned>(opts.getU64("table-assoc"));
-        runOpts.overrides.vcaDeadValueHints =
-            opts.getBool("dead-hints") ? 1 : -1;
-        runOpts.mode = simMode;
-        runOpts.samplePeriodInsts = opts.getU64("sample-period");
-        runOpts.sampleQuantumInsts = opts.getU64("sample-quantum");
-        runOpts.sampleFuncWarmInsts = opts.getU64("sample-func-warm");
-        runOpts.sampleDetailWarmInsts =
-            opts.getU64("sample-detail-warm");
+        analysis::RunOptions runOpts =
+            runOptionsFromFlags(opts, simMode, programs.size());
 
         // Sample-timeline lane: fast-forward spans, warm-up/measure
         // quanta and transplant instants (host timebase).
