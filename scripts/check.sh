@@ -9,7 +9,14 @@
 # simulating the sweep twice more under ASan adds minutes for no extra
 # signal.
 #
-# A third configuration builds with -DVCA_NTELEMETRY=ON (every
+# A ThreadSanitizer configuration builds the unit and robustness test
+# binaries with -DVCA_SANITIZE=thread and runs the tests that put
+# simulations on several threads at once: the thread pool and its
+# parallelFor, the parallel workload selection, memories sharing one
+# copy-on-write program image, and the in-process sweeps whose pool
+# workers simulate concurrently. Any report fails the stage.
+#
+# A further configuration builds with -DVCA_NTELEMETRY=ON (every
 # telemetry hook compiled out) and gates the host-MIPS overhead of the
 # compiled-in-but-disabled telemetry against it via perf_compare.py.
 #
@@ -75,6 +82,22 @@ run_config release "" -DCMAKE_BUILD_TYPE=Release
 run_config asan-ubsan unit \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DVCA_SANITIZE=address,undefined
+
+echo "== configure tsan =="
+cmake -B "$root/tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DVCA_SANITIZE=thread >/dev/null
+echo "== build tsan =="
+cmake --build "$root/tsan" -j "$jobs" --target vca_tests \
+      vca_robustness_tests
+echo "== test tsan =="
+TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
+    "$root/tsan/tests/vca_tests" --gtest_brief=1 --gtest_filter=\
+'ThreadPool*.*:SharedBaseMemory.*:WorkloadSelection.*:Runner.*:'\
+'TraceTest.TraceCycleIsPerThread'
+TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
+    "$root/tsan/tests/vca_robustness_tests" --gtest_brief=1 \
+    --gtest_filter='RobustPool.*:RobustCache.*:'\
+'RobustRunner.IsolateWithoutTempDirFallsBackInProcess'
 
 # Telemetry-overhead gate: the probe hooks compiled in but *disabled*
 # must not cost measurable host throughput. Build a configuration with

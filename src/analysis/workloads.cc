@@ -3,6 +3,7 @@
 #include "analysis/cluster.hh"
 #include "analysis/pca.hh"
 #include "sim/logging.hh"
+#include "sim/thread_pool.hh"
 
 namespace vca::analysis {
 
@@ -65,10 +66,12 @@ std::vector<std::vector<std::string>>
 selectFrom(const std::vector<std::vector<std::string>> &candidates,
            unsigned keep, unsigned physRegs, InstCount statInsts)
 {
-    Matrix stats;
-    stats.reserve(candidates.size());
-    for (const auto &names : candidates)
-        stats.push_back(workloadStats(names, physRegs, statInsts));
+    // One independent profiling run per row, written to its own index,
+    // so the matrix is the same for any worker count.
+    Matrix stats(candidates.size());
+    ThreadPool::global().parallelFor(candidates.size(), [&](size_t i) {
+        stats[i] = workloadStats(candidates[i], physRegs, statInsts);
+    });
 
     const Matrix projected = pcaProject(stats, 0.9);
     const auto assign = averageLinkageCluster(projected, keep);

@@ -8,6 +8,11 @@
  * workloads repeat the process on pairs of the selected two-thread
  * workloads.
  *
+ * The profiling runs execute on ThreadPool::global() (parallelFor),
+ * each filling its own row of the statistics matrix, so the selection
+ * is identical for any VCA_JOBS. They build their OooCpu directly and
+ * never touch the sweep runner or its result cache.
+ *
  * The paper selects 43 two-thread and 127 four-thread clusters from
  * 100M-instruction runs; the defaults here are scaled for laptop/CI
  * budgets and are configurable (the pipeline itself is identical).

@@ -1,5 +1,6 @@
 #include "func/func_sim.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "sim/logging.hh"
@@ -50,11 +51,36 @@ safeDiv(std::int64_t a, std::int64_t b)
     return a / b;
 }
 
+/** Every segment starts a page and no two share one. */
+bool
+mappableInPlace(const std::vector<isa::DataSegment> &data)
+{
+    constexpr Addr page = mem::SparseMemory::pageBytes;
+    std::vector<std::pair<Addr, Addr>> ranges; // [first, end) bytes
+    for (const isa::DataSegment &seg : data) {
+        if (seg.base % page)
+            return false;
+        const Addr pages = (Addr(seg.words.size()) * 8 + page - 1) / page;
+        ranges.emplace_back(seg.base, seg.base + pages * page);
+    }
+    std::sort(ranges.begin(), ranges.end());
+    for (size_t i = 1; i < ranges.size(); ++i) {
+        if (ranges[i].first < ranges[i - 1].second)
+            return false;
+    }
+    return true;
+}
+
 } // namespace
 
 void
 loadProgramData(const isa::Program &prog, mem::SparseMemory &memory)
 {
+    if (memory.empty() && mappableInPlace(prog.data)) {
+        for (const isa::DataSegment &seg : prog.data)
+            memory.mapBase(seg.base, seg.words.data(), seg.words.size());
+        return;
+    }
     for (const isa::DataSegment &seg : prog.data) {
         Addr addr = seg.base;
         for (std::uint64_t word : seg.words) {
@@ -160,12 +186,7 @@ FuncSim::execInst(const isa::StaticInst &si, StepRecord *rec)
 
       case Opcode::Add:  result = opnd(0) + opnd(1); wrote = true; break;
       case Opcode::Sub:  result = opnd(0) - opnd(1); wrote = true; break;
-      case Opcode::Mul:
-        result = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(opnd(0)) *
-            static_cast<std::int64_t>(opnd(1)));
-        wrote = true;
-        break;
+      case Opcode::Mul:  result = opnd(0) * opnd(1); wrote = true; break;
       case Opcode::Div:
         result = static_cast<std::uint64_t>(
             safeDiv(static_cast<std::int64_t>(opnd(0)),

@@ -70,7 +70,13 @@ struct ArchState
     std::uint64_t fpRegs[isa::numFloatRegs] = {}; ///< raw IEEE bits
 };
 
-/** Load a program's data segments into a memory image. */
+/**
+ * Load a program's data segments into a memory image. An empty memory
+ * maps page-aligned, page-disjoint segments in place as its read-only
+ * base (copy-on-write, see SparseMemory::mapBase), so @p prog must
+ * outlive every access to @p memory; otherwise the nonzero words are
+ * copied.
+ */
 void loadProgramData(const isa::Program &prog, mem::SparseMemory &memory);
 
 class FuncSim

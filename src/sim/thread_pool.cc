@@ -1,7 +1,10 @@
 #include "sim/thread_pool.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <memory>
 
 #include "sim/logging.hh"
 
@@ -123,6 +126,63 @@ ThreadPool::wait()
 {
     std::unique_lock<std::mutex> lock(mutex_);
     idleCv_.wait(lock, [this] { return outstanding_ == 0; });
+}
+
+void
+ThreadPool::parallelFor(std::size_t n,
+                        const std::function<void(std::size_t)> &fn)
+{
+    // A helper dequeued too late to be cancelled may start after this
+    // call returns, so the loop state is reference-counted, and only
+    // helpers that registered as running before `closed` touch fn.
+    struct Loop
+    {
+        std::atomic<std::size_t> next{0};
+        std::mutex mutex;
+        std::condition_variable idle;
+        unsigned running = 0;
+        bool closed = false;
+        std::exception_ptr error;
+    };
+    const auto loop = std::make_shared<Loop>();
+    const auto drain = [n, &fn](Loop &l) {
+        for (std::size_t i; (i = l.next.fetch_add(1)) < n;) {
+            try {
+                fn(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(l.mutex);
+                if (!l.error)
+                    l.error = std::current_exception();
+            }
+        }
+    };
+
+    std::vector<JobId> helpers;
+    const std::size_t wanted = std::min<std::size_t>(
+        numThreads() - 1, n > 0 ? n - 1 : 0);
+    for (std::size_t h = 0; h < wanted; ++h) {
+        helpers.push_back(submit([loop, &drain] {
+            {
+                std::lock_guard<std::mutex> lock(loop->mutex);
+                if (loop->closed)
+                    return;
+                ++loop->running;
+            }
+            drain(*loop);
+            std::lock_guard<std::mutex> lock(loop->mutex);
+            if (--loop->running == 0)
+                loop->idle.notify_all();
+        }));
+    }
+
+    drain(*loop);
+    for (JobId id : helpers)
+        cancel(id);
+    std::unique_lock<std::mutex> lock(loop->mutex);
+    loop->closed = true;
+    loop->idle.wait(lock, [&] { return loop->running == 0; });
+    if (loop->error)
+        std::rethrow_exception(loop->error);
 }
 
 bool

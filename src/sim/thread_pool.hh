@@ -20,6 +20,12 @@
  * care about the error should still catch it themselves and report a
  * structured failure, the way the sweep runner does.
  *
+ * parallelFor() runs an indexed loop on the calling thread plus up to
+ * numThreads()-1 helper jobs that pull indices from a shared counter.
+ * It never wait()s on the pool: the caller cancels helpers that have
+ * not started and waits only for those running, so it is safe from
+ * inside a worker (even of a 1-thread pool) and beside unrelated jobs.
+ *
  * The default worker count comes from VCA_JOBS when set (clamped to at
  * least 1), otherwise std::thread::hardware_concurrency().
  */
@@ -64,6 +70,15 @@ class ThreadPool
 
     /** Block until no job is pending or running. */
     void wait();
+
+    /**
+     * Run fn(i) for every i in [0, n), each exactly once, on the
+     * calling thread and idle workers; returns when all have finished.
+     * The first exception fn throws is rethrown here after every index
+     * has run.
+     */
+    void parallelFor(std::size_t n,
+                     const std::function<void(std::size_t)> &fn);
 
     unsigned numThreads() const
     {

@@ -16,7 +16,8 @@ bool anyOn = false;
 namespace {
 
 std::ostream *traceStream = nullptr;
-Cycle traceCycle_ = 0;
+/** Per simulating thread: concurrent cores each stamp their own cycle. */
+thread_local Cycle traceCycle_ = 0;
 
 void
 recomputeAnyOn()

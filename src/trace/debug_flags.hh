@@ -14,8 +14,10 @@
  *
  * Output goes to stderr by default; setTraceStream() redirects it
  * (e.g. to a file opened by --debug-file). The cycle stamp is the
- * value most recently published with setTraceCycle(), which OooCpu
- * does at the top of every tick.
+ * value most recently published with setTraceCycle() on the calling
+ * thread, which OooCpu does at the top of every tick; the published
+ * cycle is thread_local, so cores simulating on different threads
+ * never stamp each other's cycles.
  */
 
 #ifndef VCA_TRACE_DEBUG_FLAGS_HH
@@ -109,10 +111,10 @@ std::string flagHelp();
  */
 void setTraceStream(std::ostream *os);
 
-/** Publish the cycle to stamp on subsequent trace lines. */
+/** Publish the cycle to stamp on this thread's subsequent trace lines. */
 void setTraceCycle(Cycle c);
 
-/** Cycle most recently published with setTraceCycle(). */
+/** Cycle most recently published with setTraceCycle() on this thread. */
 Cycle traceCycle();
 
 /** Backend of DPRINTF; use the macro, not this. */

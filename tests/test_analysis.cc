@@ -19,6 +19,7 @@
 #include "analysis/simpoint.hh"
 #include "analysis/workloads.hh"
 #include "wload/asm_builder.hh"
+#include "wload/profile.hh"
 
 namespace {
 
@@ -427,6 +428,46 @@ TEST(Workloads, StatsAreDeterministic)
     const auto a = workloadStats({"crafty", "mesa"}, 448, 6'000);
     const auto b = workloadStats({"crafty", "mesa"}, 448, 6'000);
     EXPECT_EQ(a, b);
+}
+
+TEST(WorkloadSelection, ParallelSelectionMatchesSerialReference)
+{
+    // selectWorkloads profiles its candidates on the global pool; the
+    // result must equal the pipeline run one workload at a time.
+    SelectionOptions opts;
+    opts.numTwoThread = 2;
+    opts.numFourThread = 1;
+    opts.statInsts = 1'000;
+    const WorkloadSelection sel = selectWorkloads(opts);
+
+    using Names = std::vector<std::vector<std::string>>;
+    const auto serial = [&](const Names &candidates, unsigned keep) {
+        Matrix stats;
+        for (const auto &names : candidates)
+            stats.push_back(
+                workloadStats(names, opts.physRegs, opts.statInsts));
+        const Matrix projected = pcaProject(stats, 0.9);
+        Names out;
+        for (size_t idx : clusterMedoids(
+                 projected, averageLinkageCluster(projected, keep)))
+            out.push_back(candidates[idx]);
+        return out;
+    };
+
+    Names pairs;
+    const auto &profiles = wload::spec2000Profiles();
+    for (size_t i = 0; i < profiles.size(); ++i)
+        for (size_t j = i + 1; j < profiles.size(); ++j)
+            pairs.push_back({profiles[i].name, profiles[j].name});
+    EXPECT_EQ(sel.twoThreadCandidates, pairs.size());
+    EXPECT_EQ(sel.twoThread, serial(pairs, opts.numTwoThread));
+
+    ASSERT_EQ(sel.twoThread.size(), 2u);
+    std::vector<std::string> quad = sel.twoThread[0];
+    quad.insert(quad.end(), sel.twoThread[1].begin(),
+                sel.twoThread[1].end());
+    EXPECT_EQ(sel.fourThreadCandidates, 1u);
+    EXPECT_EQ(sel.fourThread, serial({quad}, opts.numFourThread));
 }
 
 } // namespace

@@ -10,6 +10,8 @@
 #include "func/func_sim.hh"
 #include "isa/program.hh"
 #include "wload/asm_builder.hh"
+#include "wload/generator.hh"
+#include "wload/profile.hh"
 
 namespace {
 
@@ -294,6 +296,81 @@ TEST(FuncSim, DataSegmentsLoaded)
     std::uint64_t r5 = 0;
     runToHalt(p, m, &r5);
     EXPECT_EQ(r5, 777u);
+}
+
+TEST(FuncSim, MulWrapsAsTwosComplement)
+{
+    // Overflowing products wrap (the multiply is done unsigned, which
+    // gives the two's-complement bits), on the stepping interpreter
+    // and on the BB-IR fast path alike.
+    AsmBuilder b;
+    b.li(4, 0x8000'0000'0000'0000ULL); // INT64_MIN
+    b.li(6, ~0ULL);                     // -1
+    b.emitR(Opcode::Mul, 5, 4, 6);
+    b.li(7, 0x7fff'ffff'ffff'ffffULL); // INT64_MAX
+    b.emitR(Opcode::Mul, 8, 7, 7);
+    b.li(9, 0x0123'4567'89ab'cdefULL);
+    b.li(10, 0xfedc'ba98'7654'3210ULL);
+    b.emitR(Opcode::Mul, 11, 9, 10);
+    b.halt();
+    const isa::Program p = makeProgram(b);
+    for (bool fast : {false, true}) {
+        mem::SparseMemory m;
+        func::FuncSim sim(p, m);
+        if (fast)
+            sim.runFast(1000);
+        else
+            sim.run(1000);
+        ASSERT_TRUE(sim.halted());
+        EXPECT_EQ(sim.readIntReg(5), 0x8000'0000'0000'0000ULL);
+        EXPECT_EQ(sim.readIntReg(8), 1u);
+        EXPECT_EQ(sim.readIntReg(11), 0x2236'd88f'e561'8cf0ULL);
+    }
+}
+
+TEST(FuncSim, GeneratedDataIsSharedNotCopied)
+{
+    // Generated images are page-aligned and page-disjoint, so a fresh
+    // memory maps them in place: loading allocates nothing, and the
+    // first write copies only the page it touches.
+    for (const char *name : {"mcf", "crafty"}) {
+        const isa::Program *p =
+            wload::cachedProgram(wload::profileByName(name), false);
+        mem::SparseMemory m;
+        func::loadProgramData(*p, m);
+        EXPECT_EQ(m.allocatedPages(), 0u) << name;
+        for (const isa::DataSegment &seg : p->data) {
+            for (size_t i = 0; i < seg.words.size(); i += 97)
+                ASSERT_EQ(m.read(seg.base + i * 8), seg.words[i]) << name;
+        }
+        EXPECT_EQ(m.allocatedPages(), 0u) << name;
+        const isa::DataSegment &seg = p->data.front();
+        const std::uint64_t before = seg.words.front();
+        m.write(seg.base, before + 1);
+        EXPECT_EQ(m.allocatedPages(), 1u) << name;
+        EXPECT_EQ(m.read(seg.base), before + 1);
+        EXPECT_EQ(seg.words.front(), before) << "the image is read-only";
+    }
+}
+
+TEST(FuncSim, DataIsCopiedWhenItCannotBeShared)
+{
+    // A memory that already holds pages, or a segment that does not
+    // start a page, takes the eager copy of the nonzero words.
+    isa::Program p;
+    p.data.push_back({0x1000'0008, {0, 777, 0}});
+    mem::SparseMemory misaligned;
+    func::loadProgramData(p, misaligned);
+    EXPECT_EQ(misaligned.allocatedPages(), 1u);
+    EXPECT_EQ(misaligned.read(0x1000'0010), 777u);
+
+    p.data[0].base = 0x1000'0000;
+    mem::SparseMemory used;
+    used.write(0x2000'0000, 1);
+    func::loadProgramData(p, used);
+    EXPECT_EQ(used.allocatedPages(), 2u);
+    EXPECT_EQ(used.read(0x1000'0008), 777u);
+    EXPECT_EQ(used.read(0x2000'0000), 1u);
 }
 
 TEST(FuncSim, RunRespectsInstructionLimit)

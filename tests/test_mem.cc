@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/sparse_memory.hh"
 
@@ -39,6 +43,142 @@ TEST(SparseMemory, PagesAllocatedLazily)
     EXPECT_EQ(m.allocatedPages(), 1u);
     m.write(0x9999 + SparseMemory::pageBytes, 1);
     EXPECT_EQ(m.allocatedPages(), 2u);
+}
+
+// ---------------------------------------------------------------------
+// A read-only base image shared copy-on-write
+// ---------------------------------------------------------------------
+
+/** Two and a half pages of distinct nonzero words. */
+std::vector<std::uint64_t>
+baseImage()
+{
+    std::vector<std::uint64_t> words(SparseMemory::wordsPerPage * 5 / 2);
+    for (size_t i = 0; i < words.size(); ++i)
+        words[i] = 0x1000 + i;
+    return words;
+}
+
+constexpr Addr kBase = 0x40'0000;
+
+TEST(SharedBaseMemory, ReadsOfBaseWordsAllocateNothing)
+{
+    const auto image = baseImage();
+    SparseMemory m;
+    m.mapBase(kBase, image.data(), image.size());
+    EXPECT_FALSE(m.empty());
+    for (size_t i = 0; i < image.size(); ++i)
+        ASSERT_EQ(m.read(kBase + i * 8), image[i]) << i;
+    // Past the segment on its partial last page, and past that page.
+    EXPECT_EQ(m.read(kBase + image.size() * 8), 0u);
+    EXPECT_EQ(m.read(kBase + 3 * SparseMemory::pageBytes), 0u);
+    EXPECT_EQ(m.allocatedPages(), 0u);
+}
+
+TEST(SharedBaseMemory, WriteCopiesTheWholePageAndAPartialOne)
+{
+    const auto image = baseImage();
+    SparseMemory m;
+    m.mapBase(kBase, image.data(), image.size());
+    m.write(kBase + 8, 7);
+    EXPECT_EQ(m.allocatedPages(), 1u);
+    EXPECT_EQ(m.read(kBase + 8), 7u);
+    for (unsigned i = 0; i < SparseMemory::wordsPerPage; ++i) {
+        if (i != 1)
+            ASSERT_EQ(m.read(kBase + i * 8), image[i]) << i;
+    }
+
+    // The partial third page: its copy is zero-filled past the image.
+    const Addr third = kBase + 2 * SparseMemory::pageBytes;
+    const size_t firstWord = 2 * SparseMemory::wordsPerPage;
+    m.write(third, 9);
+    EXPECT_EQ(m.allocatedPages(), 2u);
+    EXPECT_EQ(m.read(third), 9u);
+    for (unsigned i = 1; i < SparseMemory::wordsPerPage; ++i) {
+        const size_t w = firstWord + i;
+        ASSERT_EQ(m.read(third + i * 8), w < image.size() ? image[w] : 0)
+            << i;
+    }
+}
+
+TEST(SharedBaseMemory, SharersAreIsolatedAndTheBaseIsNeverWritten)
+{
+    const auto image = baseImage();
+    const auto pristine = image;
+    SparseMemory a, b;
+    a.mapBase(kBase, image.data(), image.size());
+    b.mapBase(kBase, image.data(), image.size());
+    // Read first so the page pointer is cached read-only, then write
+    // through the same slot: the write must copy, not store into the
+    // cached base pointer.
+    EXPECT_EQ(a.read(kBase + 16), image[2]);
+    a.write(kBase + 16, 111);
+    EXPECT_EQ(b.read(kBase + 16), image[2]);
+    b.write(kBase + 24, 222);
+    EXPECT_EQ(a.read(kBase + 16), 111u);
+    EXPECT_EQ(a.read(kBase + 24), image[3]);
+    EXPECT_EQ(b.read(kBase + 16), image[2]);
+    EXPECT_EQ(b.read(kBase + 24), 222u);
+    EXPECT_EQ(image, pristine);
+}
+
+TEST(SharedBaseMemory, ForEachPageYieldsTheUnionWithOwnedOverriding)
+{
+    std::vector<std::uint64_t> image = baseImage();
+    // Page 1 of the image is all zero: eager loading would never have
+    // allocated it, so forEachPage must skip it too.
+    std::fill(image.begin() + SparseMemory::wordsPerPage,
+              image.begin() + 2 * SparseMemory::wordsPerPage, 0);
+    SparseMemory m;
+    m.mapBase(kBase, image.data(), image.size());
+    m.write(kBase, 42);                 // owned copy of page 0
+    m.write(0x10'0000, 5);              // an unrelated owned page
+
+    std::map<Addr, std::vector<std::uint64_t>> seen;
+    m.forEachPage([&](Addr base, const std::uint64_t *words) {
+        EXPECT_TRUE(seen.emplace(base, std::vector<std::uint64_t>(
+            words, words + SparseMemory::wordsPerPage)).second);
+    });
+    const Addr page2 = kBase + 2 * SparseMemory::pageBytes;
+    ASSERT_EQ(seen.size(), 3u);
+    ASSERT_TRUE(seen.count(kBase) && seen.count(0x10'0000) &&
+                seen.count(page2));
+    EXPECT_EQ(seen[kBase][0], 42u);
+    EXPECT_EQ(seen[kBase][1], image[1]);
+    EXPECT_EQ(seen[0x10'0000][0], 5u);
+    const size_t firstWord = 2 * SparseMemory::wordsPerPage;
+    for (unsigned i = 0; i < SparseMemory::wordsPerPage; ++i) {
+        const size_t w = firstWord + i;
+        ASSERT_EQ(seen[page2][i], w < image.size() ? image[w] : 0) << i;
+    }
+}
+
+TEST(SharedBaseMemory, ClearDropsTheBase)
+{
+    const auto image = baseImage();
+    SparseMemory m;
+    m.mapBase(kBase, image.data(), image.size());
+    EXPECT_EQ(m.read(kBase), image[0]); // cached read-only
+    m.write(kBase + 8, 3);
+    m.clear();
+    EXPECT_TRUE(m.empty());
+    EXPECT_EQ(m.read(kBase), 0u);
+    EXPECT_EQ(m.read(kBase + 8), 0u);
+    unsigned pages = 0;
+    m.forEachPage([&](Addr, const std::uint64_t *) { ++pages; });
+    EXPECT_EQ(pages, 0u);
+}
+
+TEST(SharedBaseMemory, MisalignedOrOverlappingBaseIsRejected)
+{
+    const auto image = baseImage();
+    SparseMemory m;
+    EXPECT_THROW(m.mapBase(kBase + 8, image.data(), image.size()),
+                 PanicError);
+    m.mapBase(kBase, image.data(), image.size());
+    EXPECT_THROW(m.mapBase(kBase + 2 * SparseMemory::pageBytes,
+                           image.data(), 1),
+                 PanicError);
 }
 
 class CacheTest : public ::testing::Test

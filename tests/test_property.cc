@@ -10,7 +10,9 @@
  *  - Configuration stress: extreme VCA geometries keep all internal
  *    invariants (validated after every run).
  *  - Sweep-runner infrastructure: random thread-pool submission and
- *    cancellation interleavings always drain without deadlock, and the
+ *    cancellation interleavings always drain without deadlock,
+ *    parallelFor runs each index once (even from inside a worker) and
+ *    rethrows a failing index only after the rest finish, and the
  *    Measurement JSON round-trip used by the on-disk result cache is
  *    lossless for arbitrary field values.
  */
@@ -18,12 +20,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/runner.hh"
 #include "cpu/ooo_cpu.hh"
 #include "func/func_sim.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/thread_pool.hh"
 #include "wload/generator.hh"
@@ -300,6 +305,71 @@ TEST(ThreadPoolProperty, RecursiveSubmissionDrainsBeforeWaitReturns)
         }
         pool.wait();
         EXPECT_EQ(leaves.load(), 20 * fanout);
+    }
+}
+
+TEST(ThreadPoolParallelFor, EveryIndexRunsExactlyOnce)
+{
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+        ThreadPool pool(threads);
+        for (const size_t n : {size_t(0), size_t(1), size_t(3),
+                               size_t(257)}) {
+            std::vector<std::atomic<unsigned>> runs(n);
+            pool.parallelFor(n, [&runs](size_t i) {
+                runs[i].fetch_add(1, std::memory_order_relaxed);
+            });
+            for (size_t i = 0; i < n; ++i)
+                ASSERT_EQ(runs[i].load(), 1u)
+                    << threads << " threads, n " << n << ", index " << i;
+        }
+    }
+}
+
+TEST(ThreadPoolParallelFor, CompletesFromInsideAWorkerOfAOneThreadPool)
+{
+    // The only worker is busy running the caller, so the helper job it
+    // queued can never start: the caller must cancel it and finish the
+    // loop alone rather than wait on the pool.
+    ThreadPool pool(1);
+    std::atomic<unsigned> sum{0};
+    std::atomic<bool> done{false};
+    pool.submit([&] {
+        pool.parallelFor(100, [&sum](size_t i) {
+            sum.fetch_add(unsigned(i), std::memory_order_relaxed);
+        });
+        done = true;
+    });
+    pool.wait();
+    EXPECT_TRUE(done.load());
+    EXPECT_EQ(sum.load(), 99u * 100u / 2u);
+}
+
+TEST(ThreadPoolParallelFor, ExceptionIsRethrownAfterEveryIndexFinishes)
+{
+    for (const unsigned threads : {1u, 4u}) {
+        ThreadPool pool(threads);
+        constexpr size_t n = 64;
+        std::vector<std::atomic<unsigned>> runs(n);
+        const std::uint64_t swallowed = ThreadPool::jobExceptions();
+        try {
+            pool.parallelFor(n, [&runs](size_t i) {
+                if (i == 5)
+                    fatal("index %zu failed", i);
+                // Slow the rest down so they are still running when
+                // index 5 throws.
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+                runs[i].fetch_add(1, std::memory_order_relaxed);
+            });
+            ADD_FAILURE() << "the exception was lost";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("index 5"),
+                      std::string::npos);
+        }
+        // Every other index ran to completion before the rethrow.
+        for (size_t i = 0; i < n; ++i)
+            ASSERT_EQ(runs[i].load(), i == 5 ? 0u : 1u) << i;
+        EXPECT_EQ(ThreadPool::jobExceptions(), swallowed)
+            << "helpers must not leak the exception to the pool";
     }
 }
 

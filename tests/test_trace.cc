@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
+#include <thread>
 
 #include "cpu/ooo_cpu.hh"
 #include "cpu/tracer.hh"
@@ -150,6 +152,30 @@ sampleRecord()
     rec.storeComplete = 110;
     rec.disasm = "st r2, 8(r3)";
     return rec;
+}
+
+TEST_F(TraceTest, TraceCycleIsPerThread)
+{
+    // Cores simulating on different threads each stamp their own
+    // cycle: a publish on one thread never shows through on another.
+    trace::setTraceCycle(7);
+    std::atomic<int> published{0};
+    Cycle seen[2] = {};
+    auto worker = [&](int i, Cycle mine) {
+        trace::setTraceCycle(mine);
+        published.fetch_add(1);
+        while (published.load() < 2) {
+        } // both have published before either reads back
+        seen[i] = trace::traceCycle();
+    };
+    std::thread a(worker, 0, Cycle(100));
+    std::thread b(worker, 1, Cycle(200));
+    a.join();
+    b.join();
+    EXPECT_EQ(seen[0], 100u);
+    EXPECT_EQ(seen[1], 200u);
+    EXPECT_EQ(trace::traceCycle(), 7u);
+    trace::setTraceCycle(0);
 }
 
 TEST_F(TraceTest, PipeTraceWriterEmitsO3PipeViewFormat)
