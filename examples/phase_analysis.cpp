@@ -58,9 +58,7 @@ main(int argc, char **argv)
         cpu::CpuParams::preset(cpu::RenamerKind::Vca, 160);
     cpu::OooCpu cpu(params, {wload::cachedProgram(prof, true)});
     cpu.run(5'000, 1'000'000); // warm up untraced
-    cpu::TraceOptions topts;
-    topts.maxInsts = 12;
-    cpu::attachCommitTracer(cpu, std::cout, topts);
+    cpu::attachCommitTracer(cpu, std::cout, 12);
     cpu.run(2'000, 1'000'000);
     return 0;
 }

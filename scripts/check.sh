@@ -1,38 +1,31 @@
 #!/usr/bin/env bash
-# Full verification sweep: build and test the Release configuration and
-# an AddressSanitizer/UBSan configuration.
+# Full verification sweep. Stages, in order:
 #
-# The Release configuration runs every ctest label (unit + golden +
-# observability, including the slow determinism sweep). The sanitizer
-# configuration runs only -L unit: the golden suite asserts exact cycle
-# counts that are identical across configurations anyway, and
-# simulating the sweep twice more under ASan adds minutes for no extra
-# signal.
-#
-# A ThreadSanitizer configuration builds the unit and robustness test
-# binaries with -DVCA_SANITIZE=thread and runs the tests that put
-# simulations on several threads at once: the thread pool and its
-# parallelFor, the parallel workload selection, memories sharing one
-# copy-on-write program image, and the in-process sweeps whose pool
-# workers simulate concurrently. Any report fails the stage.
-#
-# A further configuration builds with -DVCA_NTELEMETRY=ON (every
-# telemetry hook compiled out) and gates the host-MIPS overhead of the
-# compiled-in-but-disabled telemetry against it via perf_compare.py.
-#
-# A final robustness section gates the fault-tolerant sweep layer's
-# cost: enabled but idle, it must not slow a warm cached sweep beyond
-# CHECK_ROBUST_THRESHOLD. (Its end-to-end chaos smoke is the
-# robustness.chaos_smoke ctest in the Release configuration.)
+#  1. Selftests of the Python checkers (perf_compare, the stats
+#     schema, the accuracy gate).
+#  2. Release: build and run every ctest, whatever its label (the
+#     slow determinism sweep included). The CycleTaxonomy partition
+#     tests run here, in the observability suite.
+#  3. AddressSanitizer/UBSan: build and run -L unit. The golden suite
+#     asserts exact cycle counts that are identical across
+#     configurations anyway, and simulating the sweep twice more under
+#     ASan adds minutes for no extra signal.
+#  4. ThreadSanitizer: build the unit and robustness test binaries with
+#     -DVCA_SANITIZE=thread and run the tests that put simulations on
+#     several threads at once: the thread pool and its parallelFor, the
+#     parallel workload selection, memories sharing one copy-on-write
+#     program image, and the in-process sweeps whose pool workers
+#     simulate concurrently. Any report fails the stage.
+#  5. Accuracy gate: sampled and SimPoint runs of the Release vca-sim
+#     against detailed IPC (scripts/accuracy_gate.py).
+#  6. Isolate-overhead gate: enabled but idle, the fault-tolerant sweep
+#     layer must not slow a warm cached sweep beyond
+#     CHECK_ROBUST_THRESHOLD. (Its end-to-end chaos smoke is the
+#     robustness.chaos_smoke ctest in the Release configuration.)
 #
 # Usage: scripts/check.sh [extra ctest args...]
 #   CHECK_JOBS=N            parallelism (default: nproc)
 #   CHECK_BUILD_DIR=dir     build-tree root (default: build-check)
-#   CHECK_TELEM_GATE=0      skip the telemetry-overhead gate
-#   CHECK_TELEM_THRESHOLD=F allowed fractional host-MIPS cost of the
-#                           disabled telemetry hooks (default 0.05:
-#                           the design target is 2%, the gate leaves
-#                           headroom for host noise)
 #   CHECK_ROBUST_GATE=0     skip the isolate-overhead gate
 #   CHECK_ROBUST_THRESHOLD=F allowed fractional wall-clock cost of the
 #                           enabled-but-idle robustness layer on a
@@ -98,43 +91,6 @@ TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     "$root/tsan/tests/vca_robustness_tests" --gtest_brief=1 \
     --gtest_filter='RobustPool.*:RobustCache.*:'\
 'RobustRunner.IsolateWithoutTempDirFallsBackInProcess'
-
-# Telemetry-overhead gate: the probe hooks compiled in but *disabled*
-# must not cost measurable host throughput. Build a configuration with
-# them removed entirely (-DVCA_NTELEMETRY=ON), run the same bench in
-# both trees with the sweep cache disabled, and diff host MIPS. The
-# cycle taxonomy is the cycle accounting, so it stays in both builds;
-# its partition tests run in the notelemetry tree too.
-if [[ "${CHECK_TELEM_GATE:-1}" != 0 ]] && command -v python3 >/dev/null
-then
-    echo "== configure notelemetry =="
-    cmake -B "$root/notelemetry" -S . -DCMAKE_BUILD_TYPE=Release \
-          -DVCA_NTELEMETRY=ON >/dev/null
-    echo "== build notelemetry (telemetry-overhead gate) =="
-    cmake --build "$root/notelemetry" -j "$jobs" --target \
-          bench_fig6_single_port
-    cmake --build "$root/release" -j "$jobs" --target \
-          bench_fig6_single_port
-    echo "== notelemetry cycle-taxonomy partition =="
-    cmake --build "$root/notelemetry" -j "$jobs" --target \
-          vca_observability_tests
-    "$root/notelemetry/tests/vca_observability_tests" \
-        --gtest_filter='CycleTaxonomy.*'
-    echo "== telemetry-overhead gate =="
-    gate="$root/telem-gate"
-    rm -rf "$gate"
-    mkdir -p "$gate/base" "$gate/cand"
-    telem_insts="${CHECK_TELEM_INSTS:-60000}"
-    for side in base cand; do
-        tree=release
-        [[ "$side" == base ]] && tree=notelemetry
-        VCA_CACHE_DIR= VCA_BENCH_JSON_DIR="$gate/$side" \
-            VCA_WARMUP_INSTS=2000 VCA_MEASURE_INSTS="$telem_insts" \
-            "$root/$tree/bench/bench_fig6_single_port" >/dev/null
-    done
-    python3 scripts/perf_compare.py "$gate/base" "$gate/cand" \
-            --threshold "${CHECK_TELEM_THRESHOLD:-0.05}"
-fi
 
 # Accuracy gate: the sampled execution modes on the real CLI. For
 # every renamer architecture, a --mode=sampled run must land within

@@ -294,10 +294,6 @@ runSamples(const std::vector<const isa::Program *> &programs,
         // rename tables) starts cold, as SMARTS intends; the
         // long-lived state is transplanted from the warm model below.
         cpu::OooCpu cpu(params, programs);
-        std::vector<InstCount> committed(n, 0);
-        cpu.addCommitListener([&committed](const cpu::DynInst &inst) {
-            ++committed[inst.tid];
-        });
 
         {
             SampleTracer::Span span(tracer, "fast-forward");
@@ -357,8 +353,10 @@ runSamples(const std::vector<const isa::Program *> &programs,
             }
             host.simCycles += double(cpu.currentCycle());
         }
-        for (InstCount c : committed)
-            host.simInsts += double(c);
+        // The core is new, so its per-thread commit counts are this
+        // sample's (warm-up and measurement).
+        for (unsigned t = 0; t < n; ++t)
+            host.simInsts += double(cpu.committedInsts(ThreadId(t)));
 
         // The detailed sample continued warming the transplanted
         // state; adopt its final tags/tables so nothing the sample
@@ -371,8 +369,9 @@ runSamples(const std::vector<const isa::Program *> &programs,
         {
             ScopedSeconds tm(host.funcSeconds);
             for (unsigned t = 0; t < n; ++t) {
-                fsim[t]->runFast(committed[t]);
-                pos[t] += committed[t];
+                const InstCount committed = cpu.committedInsts(ThreadId(t));
+                fsim[t]->runFast(committed);
+                pos[t] += committed;
             }
         }
     }

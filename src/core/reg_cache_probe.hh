@@ -9,10 +9,9 @@
  * does with it (shadow miss-classification models, occupancy
  * sampling, burst histograms live in src/telemetry/).
  *
- * Cost discipline: every call site in the renamer is guarded by the
- * VCA_TELEMETRY_PROBE macro — a single null-pointer test when
- * telemetry is compiled in and nothing at all under -DVCA_NTELEMETRY
- * (mirroring VCA_NTRACE for DPRINTF).
+ * Cost discipline: every call site in the renamer is guarded by a
+ * single null-pointer test, so a detached probe costs one predictable
+ * branch per observed event.
  */
 
 #ifndef VCA_CORE_REG_CACHE_PROBE_HH
@@ -44,17 +43,5 @@ class RegCacheProbe
 };
 
 } // namespace vca::core
-
-#ifndef VCA_NTELEMETRY
-#define VCA_TELEMETRY_PROBE(probe, call)                                \
-    do {                                                                \
-        if (probe)                                                      \
-            (probe)->call;                                              \
-    } while (0)
-#else
-#define VCA_TELEMETRY_PROBE(probe, call)                                \
-    do {                                                                \
-    } while (0)
-#endif
 
 #endif // VCA_CORE_REG_CACHE_PROBE_HH

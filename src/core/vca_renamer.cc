@@ -78,7 +78,8 @@ VcaRenamer::beginCycle(Cycle now)
     cycleReadAddrs_.clear();
     portsUsed_ = 0;
     astq_.beginCycle();
-    VCA_TELEMETRY_PROBE(probe_, onCycle(now));
+    if (probe_)
+        probe_->onCycle(now);
 }
 
 void
@@ -120,7 +121,8 @@ VcaRenamer::enqueueSpill(PhysRegIndex reg)
     memoryFor(s.addr, 0).write(s.addr, regs_.read(reg));
     s.dirty = false;
     ++spills;
-    VCA_TELEMETRY_PROBE(probe_, onSpill(s.addr));
+    if (probe_)
+        probe_->onSpill(s.addr);
     DPRINTF(VcaCache, "spill p%d -> addr 0x%llx", int(reg),
             (unsigned long long)s.addr);
     if (!ideal_) {
@@ -158,7 +160,8 @@ VcaRenamer::flushRsid(int rsidVictim)
             memoryFor(s.addr, 0).write(s.addr, regs_.read(e->front));
             s.dirty = false;
             ++spills;
-            VCA_TELEMETRY_PROBE(probe_, onSpill(s.addr));
+            if (probe_)
+                probe_->onSpill(s.addr);
             if (!ideal_) {
                 astq_.enqueueForce(
                     {true, s.addr, invalidPhysReg,
@@ -386,7 +389,8 @@ VcaRenamer::rename(DynInst &inst, Cycle now)
         PhysRegIndex phys = invalidPhysReg;
         if (entry) {
             ++tableHits;
-            VCA_TELEMETRY_PROBE(probe_, onAccess(srcAddr[s]));
+            if (probe_)
+                probe_->onAccess(srcAddr[s]);
             phys = entry->front;
             if (phys == invalidPhysReg)
                 panic("valid rename-table entry with no front register");
@@ -438,7 +442,8 @@ VcaRenamer::rename(DynInst &inst, Cycle now)
             entry->front = phys;
             entry->commit = phys;
             ++fills;
-            VCA_TELEMETRY_PROBE(probe_, onFill(srcAddr[s]));
+            if (probe_)
+                probe_->onFill(srcAddr[s]);
             DPRINTFT(VcaCache, inst.tid, "fill p%d <- addr 0x%llx",
                      int(phys), (unsigned long long)srcAddr[s]);
             if (ideal_) {
@@ -510,7 +515,8 @@ VcaRenamer::rename(DynInst &inst, Cycle now)
         regState_.touch(phys);
         regs_.setReady(phys, false);
         entry->front = phys;
-        VCA_TELEMETRY_PROBE(probe_, onAccess(destAddr));
+        if (probe_)
+            probe_->onAccess(destAddr);
         if (!ideal_)
             ++portsUsed_;
     }

@@ -318,10 +318,6 @@ OooCpu::OooCpu(const CpuParams &params,
     events_.reset(horizon);
     transferEvents_.reset(horizon);
 
-    if (params_.statSampleInterval == 0)
-        params_.statSampleInterval = 1;
-    statSampleCountdown_ = params_.statSampleInterval;
-
     commitSnapshot_.resize(params_.numThreads, 0);
 }
 
@@ -1355,11 +1351,8 @@ OooCpu::tick()
     ++now_;
     ++numCycles;
     trace::setTraceCycle(now_);
-    if (--statSampleCountdown_ == 0) {
-        statSampleCountdown_ = params_.statSampleInterval;
-        robOccupancyDist.sample(static_cast<double>(robCount_));
-        iqOccupancyDist.sample(static_cast<double>(iqCount_));
-    }
+    robOccupancyDist.sample(static_cast<double>(robCount_));
+    iqOccupancyDist.sample(static_cast<double>(iqCount_));
     const double committedBefore = committedTotal.value();
     for (unsigned t = 0; t < params_.numThreads; ++t)
         commitSnapshot_[t] = threads_[t].committed;

@@ -277,7 +277,7 @@ class OooCpu : public stats::StatGroup
      * overflow/underflow traps at commit and accepted spill/fill
      * transfer issues. Deliberately NOT per-instruction — emission
      * sites sit on cold paths and cost one empty() test when no
-     * listener is registered (nothing at all under VCA_NTELEMETRY).
+     * listener is registered.
      */
     struct SimEvent
     {
@@ -407,8 +407,6 @@ class OooCpu : public stats::StatGroup
     unsigned frontendDelay_ = 0; ///< decodeDelay + renamer extra stages
     unsigned robCount_ = 0; ///< sum of per-thread ROB sizes, maintained
                             ///< incrementally (robOccupancy() reads it)
-    unsigned statSampleCountdown_ = 1; ///< cycles to the next
-                                       ///< occupancy-distribution sample
 
     // Instruction queue: ready list plus per-register waiter lists.
     // Entries carry the sequence number at insertion so records that
@@ -449,17 +447,11 @@ class OooCpu : public stats::StatGroup
     void
     emitSimEvent(SimEvent::Kind kind, ThreadId tid, Addr addr)
     {
-#ifndef VCA_NTELEMETRY
         if (simEventListeners_.empty())
             return;
         const SimEvent ev{kind, tid, now_, addr};
         for (const auto &listener : simEventListeners_)
             listener(ev);
-#else
-        (void)kind;
-        (void)tid;
-        (void)addr;
-#endif
     }
 };
 

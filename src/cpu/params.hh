@@ -101,14 +101,6 @@ struct CpuParams
      */
     std::uint64_t rngSeed = 0x9e3779b97f4a7c15ULL;
 
-    /**
-     * Sample the ROB/IQ occupancy distributions every N cycles
-     * (0 is clamped to 1). At the default of 1 the distributions are
-     * exact; larger intervals trade histogram resolution for speed and
-     * must never be used for golden-number runs.
-     */
-    unsigned statSampleInterval = 1;
-
     mem::MemSystemParams memParams;
     bpred::BPredParams bpredParams;
 

@@ -7,34 +7,31 @@
 namespace vca::cpu {
 
 std::string
-formatTraceLine(const OooCpu &cpu, const DynInst &inst,
-                const TraceOptions &opts)
+formatTraceLine(const OooCpu &cpu, const DynInst &inst)
 {
     std::ostringstream os;
     os << std::setw(10) << cpu.currentCycle() << ": T" << int(inst.tid)
        << " " << std::setw(7) << inst.pc << ": "
        << std::left << std::setw(24) << isa::disassemble(*inst.si)
        << std::right;
-    if (opts.values && inst.si->hasDest) {
+    if (inst.si->hasDest)
         os << " D=0x" << std::hex << inst.result << std::dec;
-    }
-    if (opts.memAddrs && inst.si->isMem() && inst.effAddrValid) {
+    if (inst.si->isMem() && inst.effAddrValid)
         os << " A=0x" << std::hex << inst.effAddr << std::dec;
-    }
     if (inst.mispredicted)
         os << " [mispredicted]";
     return os.str();
 }
 
 void
-attachCommitTracer(OooCpu &cpu, std::ostream &os, TraceOptions opts)
+attachCommitTracer(OooCpu &cpu, std::ostream &os, InstCount maxInsts)
 {
     auto count = std::make_shared<InstCount>(0);
-    cpu.addCommitListener([&cpu, &os, opts, count](const DynInst &inst) {
-        if (opts.maxInsts && *count >= opts.maxInsts)
+    cpu.addCommitListener([&cpu, &os, maxInsts, count](const DynInst &inst) {
+        if (maxInsts && *count >= maxInsts)
             return;
         ++*count;
-        os << formatTraceLine(cpu, inst, opts) << '\n';
+        os << formatTraceLine(cpu, inst) << '\n';
     });
 }
 
@@ -76,17 +73,9 @@ attachPipeTracer(OooCpu &cpu, std::ostream &os, InstCount maxInsts,
     // Telemetry marks share the writer so instants land between (never
     // inside) instruction records in commit order. Spill/fill issues
     // are too frequent to mark individually; aggregate per window.
-    struct TransferWindow
-    {
-        Cycle start = 0;
-        Cycle end = 0;
-        unsigned spills = 0;
-        unsigned fills = 0;
-    };
-    auto window = std::make_shared<TransferWindow>();
-    constexpr Cycle kWindowCycles = 64;
+    auto windows = std::make_shared<TransferWindows>();
     cpu.addSimEventListener(
-        [writer, window, maxInsts](const OooCpu::SimEvent &ev) {
+        [writer, windows, maxInsts](const OooCpu::SimEvent &ev) {
             using Kind = OooCpu::SimEvent::Kind;
             if (maxInsts && writer->recordsWritten() >= maxInsts)
                 return;
@@ -101,27 +90,16 @@ attachPipeTracer(OooCpu &cpu, std::ostream &os, InstCount maxInsts,
               case Kind::Fill:
                 break;
             }
-            if (window->end == 0) {
-                window->start = ev.cycle;
-                window->end = ev.cycle + kWindowCycles;
-            }
-            while (ev.cycle >= window->end) {
-                if (window->spills + window->fills) {
-                    writer->instant(
-                        "transfers spills=" +
-                            std::to_string(window->spills) +
-                            " fills=" + std::to_string(window->fills),
-                        window->start);
-                }
-                window->spills = 0;
-                window->fills = 0;
-                window->start = window->end;
-                window->end += kWindowCycles;
-            }
-            if (ev.kind == Kind::Spill)
-                ++window->spills;
-            else
-                ++window->fills;
+            windows->add(ev.cycle, ev.kind == Kind::Spill,
+                         [&](Cycle start, unsigned spills, unsigned fills) {
+                             if (spills + fills == 0)
+                                 return;
+                             writer->instant(
+                                 "transfers spills=" +
+                                     std::to_string(spills) +
+                                     " fills=" + std::to_string(fills),
+                                 start);
+                         });
         });
 }
 

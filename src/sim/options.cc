@@ -125,7 +125,12 @@ bool
 Options::getBool(const std::string &name) const
 {
     const std::string v = get(name);
-    return v == "true" || v == "1" || v == "yes" || v == "on";
+    if (v == "true" || v == "1" || v == "yes" || v == "on")
+        return true;
+    if (v == "false" || v == "0" || v == "no" || v == "off")
+        return false;
+    fatal("--%s wants true|false|1|0|yes|no|on|off, got '%s'",
+          name.c_str(), v.c_str());
 }
 
 std::string

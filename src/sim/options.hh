@@ -31,8 +31,9 @@ class Options
     bool parse(int argc, const char *const *argv);
 
     std::string get(const std::string &name) const;
-    /** The value as a complete unsigned integer / finite number;
-     *  throws FatalError naming the option otherwise. */
+    /** The value as a complete unsigned integer / finite number /
+     *  boolean (true|false|1|0|yes|no|on|off); throws FatalError
+     *  naming the option otherwise. */
     std::uint64_t getU64(const std::string &name) const;
     double getDouble(const std::string &name) const;
     bool getBool(const std::string &name) const;

@@ -13,14 +13,20 @@ namespace vca::telemetry {
 
 namespace {
 
+// pid of the simulated-time process group in the trace.
+constexpr int kPid = 1;
 // Lane tids group per simulated thread: thread t owns [t*100, t*100+90].
 constexpr int kLanesPerThreadBase = 100;
 constexpr int kEventLane = 90;
+// Lanes per simulated thread before slices double up.
+constexpr unsigned kMaxLanesPerThread = 32;
+// Transfers within one window that qualify as a burst instant.
+constexpr unsigned kBurstInstantThreshold = 8;
 
 struct SimTracerState
 {
     ChromeTraceWriter &writer;
-    ChromeSimTraceOptions opts;
+    InstCount maxInsts;
     InstCount traced = 0;
     // Per simulated thread: the retire time of the last slice on each
     // lane; a committing instruction takes the first lane that was
@@ -28,14 +34,11 @@ struct SimTracerState
     std::vector<std::vector<Cycle>> laneEnd;
     std::unordered_set<int> namedTids;
     // Spill/fill aggregation (global across threads).
-    Cycle windowStart = 0;
-    Cycle windowEnd = 0;
-    unsigned spills = 0;
-    unsigned fills = 0;
+    cpu::TransferWindows windows;
     bool lastWindowEmpty = true;
 
-    SimTracerState(ChromeTraceWriter &w, const ChromeSimTraceOptions &o)
-        : writer(w), opts(o) {}
+    SimTracerState(ChromeTraceWriter &w, InstCount cap)
+        : writer(w), maxInsts(cap) {}
 
     int
     laneTid(unsigned tid, unsigned lane)
@@ -43,7 +46,7 @@ struct SimTracerState
         const int t = static_cast<int>(tid) * kLanesPerThreadBase +
                       static_cast<int>(lane);
         if (namedTids.insert(t).second) {
-            writer.setThreadName(opts.pid, t,
+            writer.setThreadName(kPid, t,
                                  "T" + std::to_string(tid) + " lane " +
                                      std::to_string(lane));
         }
@@ -56,56 +59,36 @@ struct SimTracerState
         const int t = static_cast<int>(tid) * kLanesPerThreadBase +
                       kEventLane;
         if (namedTids.insert(t).second) {
-            writer.setThreadName(opts.pid, t,
+            writer.setThreadName(kPid, t,
                                  "T" + std::to_string(tid) + " events");
         }
         return t;
     }
 
     void
-    flushWindow()
+    flushWindow(Cycle start, unsigned spills, unsigned fills)
     {
         const bool empty = spills == 0 && fills == 0;
         if (!empty || !lastWindowEmpty) {
-            writer.counter(opts.pid, 0, "vca transfers",
-                           static_cast<double>(windowStart),
+            writer.counter(kPid, 0, "vca transfers",
+                           static_cast<double>(start),
                            {{"spills", double(spills)},
                             {"fills", double(fills)}});
         }
-        if (!empty && spills + fills >= opts.burstInstantThreshold) {
-            writer.instant(opts.pid, eventTid(0), "transfer burst",
-                           static_cast<double>(windowStart),
+        if (!empty && spills + fills >= kBurstInstantThreshold) {
+            writer.instant(kPid, eventTid(0), "transfer burst",
+                           static_cast<double>(start),
                            "{\"spills\":" + std::to_string(spills) +
                                ",\"fills\":" + std::to_string(fills) +
                                "}");
         }
         lastWindowEmpty = empty;
-        spills = 0;
-        fills = 0;
-    }
-
-    void
-    onTransfer(Cycle cycle, bool isStore)
-    {
-        if (windowEnd == 0) {
-            windowStart = cycle;
-            windowEnd = cycle + opts.burstWindowCycles;
-        }
-        while (cycle >= windowEnd) {
-            flushWindow();
-            windowStart = windowEnd;
-            windowEnd += opts.burstWindowCycles;
-        }
-        if (isStore)
-            ++spills;
-        else
-            ++fills;
     }
 
     void
     onCommit(const trace::PipeRecord &rec)
     {
-        if (opts.maxInsts && traced >= opts.maxInsts)
+        if (maxInsts && traced >= maxInsts)
             return;
         ++traced;
 
@@ -119,7 +102,7 @@ struct SimTracerState
                 break;
         }
         if (lane == lanes.size()) {
-            if (lanes.size() < opts.maxLanesPerThread) {
+            if (lanes.size() < kMaxLanesPerThread) {
                 lanes.push_back(0);
             } else {
                 // All lanes busy at fetch time: double up on the one
@@ -134,7 +117,7 @@ struct SimTracerState
         const double retire = static_cast<double>(rec.commit) + 1;
         lanes[lane] = rec.commit + 1;
 
-        writer.begin(opts.pid, t, rec.disasm,
+        writer.begin(kPid, t, rec.disasm,
                      static_cast<double>(rec.fetch),
                      "{\"seq\":" + std::to_string(rec.seq) +
                          ",\"pc\":" + std::to_string(rec.pc) + "}");
@@ -152,13 +135,13 @@ struct SimTracerState
         };
         for (const auto &p : phases) {
             if (p.to > p.from)
-                writer.slice(opts.pid, t, p.name,
+                writer.slice(kPid, t, p.name,
                              static_cast<double>(p.from),
                              static_cast<double>(p.to - p.from));
         }
-        writer.slice(opts.pid, t, "retire",
+        writer.slice(kPid, t, "retire",
                      static_cast<double>(rec.commit), 1);
-        writer.end(opts.pid, t, retire);
+        writer.end(kPid, t, retire);
     }
 };
 
@@ -166,10 +149,10 @@ struct SimTracerState
 
 void
 attachChromeSimTracer(cpu::OooCpu &cpu, ChromeTraceWriter &writer,
-                      ChromeSimTraceOptions opts)
+                      InstCount maxInsts)
 {
-    auto state = std::make_shared<SimTracerState>(writer, opts);
-    writer.setProcessName(opts.pid, "simulated time (1 cycle = 1us)");
+    auto state = std::make_shared<SimTracerState>(writer, maxInsts);
+    writer.setProcessName(kPid, "simulated time (1 cycle = 1us)");
 
     cpu.addCommitListener(
         [state, &cpu](const cpu::DynInst &inst) {
@@ -180,20 +163,22 @@ attachChromeSimTracer(cpu::OooCpu &cpu, ChromeTraceWriter &writer,
         using Kind = cpu::OooCpu::SimEvent::Kind;
         switch (ev.kind) {
           case Kind::WindowOverflow:
-            state->writer.instant(state->opts.pid, state->eventTid(ev.tid),
+            state->writer.instant(kPid, state->eventTid(ev.tid),
                                   "window overflow",
                                   static_cast<double>(ev.cycle));
             break;
           case Kind::WindowUnderflow:
-            state->writer.instant(state->opts.pid, state->eventTid(ev.tid),
+            state->writer.instant(kPid, state->eventTid(ev.tid),
                                   "window underflow",
                                   static_cast<double>(ev.cycle));
             break;
           case Kind::Spill:
-            state->onTransfer(ev.cycle, true);
-            break;
           case Kind::Fill:
-            state->onTransfer(ev.cycle, false);
+            state->windows.add(
+                ev.cycle, ev.kind == Kind::Spill,
+                [&](Cycle start, unsigned spills, unsigned fills) {
+                    state->flushWindow(start, spills, fills);
+                });
             break;
         }
     });

@@ -9,7 +9,7 @@
  * overlapping in-flight instructions render side by side in Perfetto
  * exactly like a pipeline diagram.  Window overflow/underflow traps
  * become instant events and VCA spill/fill traffic becomes a counter
- * track with burst instants.
+ * track (cpu::TransferWindows) with burst instants.
  *
  * One simulated cycle maps to one microsecond of trace time.
  */
@@ -26,28 +26,15 @@ class OooCpu;
 
 namespace vca::telemetry {
 
-struct ChromeSimTraceOptions
-{
-    /** Stop emitting per-instruction slices after this many committed
-     *  instructions (0 = no cap).  Instants and counters continue. */
-    InstCount maxInsts = 0;
-    /** Aggregation window for the spill/fill counter track. */
-    unsigned burstWindowCycles = 64;
-    /** Transfers within one window that qualify as a burst instant. */
-    unsigned burstInstantThreshold = 8;
-    /** pid of the simulated-time process group in the trace. */
-    int pid = 1;
-    /** Lanes per simulated thread before slices double up. */
-    unsigned maxLanesPerThread = 32;
-};
-
 /**
- * Attach simulated-time Chrome tracks to @p cpu.  The writer must
- * outlive the CPU.  Composes with other commit listeners (pipeview,
- * interval stats, co-simulation).
+ * Attach simulated-time Chrome tracks to @p cpu.  Per-instruction
+ * slices stop after @p maxInsts committed instructions (0 = no cap);
+ * instants and counters continue.  The writer must outlive the CPU.
+ * Composes with other commit listeners (pipeview, interval stats,
+ * co-simulation).
  */
 void attachChromeSimTracer(cpu::OooCpu &cpu, ChromeTraceWriter &writer,
-                           ChromeSimTraceOptions opts = {});
+                           InstCount maxInsts = 0);
 
 } // namespace vca::telemetry
 

@@ -50,10 +50,10 @@ RegCacheAnalyzer::RegCacheAnalyzer(const Config &cfg,
                       0, cfg.physRegs + 1, occupancyBuckets(cfg.physRegs)),
       fillBurst(this, "fill_burst",
                 "fills per burst window (bandwidth histogram)",
-                0, cfg.burstWindowCycles + 1, 16),
+                0, kBurstWindowCycles + 1, 16),
       spillBurst(this, "spill_burst",
                  "spills per burst window (bandwidth histogram)",
-                 0, cfg.burstWindowCycles + 1, 16),
+                 0, kBurstWindowCycles + 1, 16),
       cfg_(cfg), regState_(regState)
 {
     occupancyPerThread.reserve(cfg_.numThreads);
@@ -133,19 +133,19 @@ void
 RegCacheAnalyzer::onCycle(Cycle now)
 {
     if (burstEnd_ == 0) {
-        burstEnd_ = now + cfg_.burstWindowCycles;
+        burstEnd_ = now + kBurstWindowCycles;
     } else {
         while (now >= burstEnd_) {
             fillBurst.sample(fillsInWindow_);
             spillBurst.sample(spillsInWindow_);
             fillsInWindow_ = 0;
             spillsInWindow_ = 0;
-            burstEnd_ += cfg_.burstWindowCycles;
+            burstEnd_ += kBurstWindowCycles;
         }
     }
     if (regState_ && now >= nextOccupancySample_) {
         sampleOccupancy();
-        nextOccupancySample_ = now + cfg_.occupancySampleInterval;
+        nextOccupancySample_ = now + kOccupancySampleInterval;
     }
 }
 

@@ -59,11 +59,12 @@ class RegCacheAnalyzer : public stats::StatGroup, public core::RegCacheProbe
         unsigned shadowCapacity = 0;
         unsigned physRegs = 0;
         unsigned numThreads = 1;
-        /** Cycles between physical-register occupancy samples. */
-        unsigned occupancySampleInterval = 128;
-        /** Width of the spill/fill burst-bandwidth window. */
-        unsigned burstWindowCycles = 64;
     };
+
+    /** Rename cycles between physical-register occupancy samples. */
+    static constexpr Cycle kOccupancySampleInterval = 128;
+    /** Width of the spill/fill burst-bandwidth window, in cycles. */
+    static constexpr Cycle kBurstWindowCycles = 64;
 
     /** @param regState the renamer's physical-register state array,
      *  scanned (read-only) when sampling occupancy; may be null to
@@ -95,7 +96,7 @@ class RegCacheAnalyzer : public stats::StatGroup, public core::RegCacheProbe
     stats::Scalar accesses;
 
     // Occupancy time series: committed/allocated physical registers,
-    // sampled every occupancySampleInterval rename cycles.
+    // sampled every kOccupancySampleInterval rename cycles.
     std::vector<std::unique_ptr<stats::Distribution>> occupancyPerThread;
     stats::Distribution occupancyWindowed;
     stats::Distribution occupancyGlobal;

@@ -5,8 +5,7 @@
  * Every trace point in the simulator is guarded by a named flag
  * (Fetch, Rename, Commit, VcaCache, ...). Flags are off by default,
  * enabled at runtime from a comma list ("Rename,Commit", "All",
- * "All,-Cache"), and the whole layer compiles out when VCA_NTRACE is
- * defined, leaving zero code at the trace points.
+ * "All,-Cache"); a disabled trace point costs one flag test.
  *
  * DPRINTF(Flag, fmt, ...)       - trace, stamped with the current cycle
  * DPRINTFT(Flag, tid, fmt, ...) - same, also stamped with a thread id
@@ -127,18 +126,6 @@ void tracePrintfTid(Flag f, unsigned tid, const char *fmt, ...)
 
 } // namespace vca::trace
 
-#ifdef VCA_NTRACE
-
-#define DTRACE(flag) (false)
-#define DPRINTF(flag, ...) \
-    do {                   \
-    } while (0)
-#define DPRINTFT(flag, tid, ...) \
-    do {                         \
-    } while (0)
-
-#else
-
 #define DTRACE(flag) \
     (::vca::trace::flagEnabled(::vca::trace::Flag::flag))
 
@@ -158,7 +145,5 @@ void tracePrintfTid(Flag f, unsigned tid, const char *fmt, ...)
                                          __VA_ARGS__);                \
         }                                                             \
     } while (0)
-
-#endif // VCA_NTRACE
 
 #endif // VCA_TRACE_DEBUG_FLAGS_HH

@@ -12,28 +12,28 @@ PipeTraceWriter::write(const PipeRecord &rec)
     char buf[160];
     std::snprintf(buf, sizeof buf,
                   "O3PipeView:fetch:%llu:0x%08llx:%u:%llu:",
-                  (unsigned long long)(rec.fetch * scale_),
+                  (unsigned long long)(rec.fetch * kTicksPerCycle),
                   (unsigned long long)rec.pc, rec.tid,
                   (unsigned long long)rec.seq);
     os_ << buf << rec.disasm << "\n";
 
     const auto stage = [&](const char *name, Cycle c) {
-        os_ << "O3PipeView:" << name << ":" << c * scale_ << "\n";
+        os_ << "O3PipeView:" << name << ":" << c * kTicksPerCycle << "\n";
     };
     stage("decode", rec.decode);
     stage("rename", rec.rename);
     stage("dispatch", rec.dispatch);
     stage("issue", rec.issue);
     stage("complete", rec.complete);
-    os_ << "O3PipeView:retire:" << rec.commit * scale_ << ":store:"
-        << (rec.isStore ? rec.storeComplete * scale_ : 0) << "\n";
+    os_ << "O3PipeView:retire:" << rec.commit * kTicksPerCycle << ":store:"
+        << (rec.isStore ? rec.storeComplete * kTicksPerCycle : 0) << "\n";
     ++written_;
 }
 
 void
 PipeTraceWriter::instant(const std::string &label, Cycle when)
 {
-    os_ << "O3PipeView:instant:" << when * scale_ << ":" << label
+    os_ << "O3PipeView:instant:" << when * kTicksPerCycle << ":" << label
         << "\n";
     ++instants_;
 }

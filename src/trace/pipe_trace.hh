@@ -12,8 +12,8 @@
  *   O3PipeView:complete:<tick>
  *   O3PipeView:retire:<tick>:store:<store-writeback-tick>
  *
- * Ticks are cycles scaled by ticksPerCycle (default 1000, matching
- * gem5's picosecond ticks at 1 GHz) so the traces feed gem5's
+ * Ticks are cycles scaled by kTicksPerCycle (1000, matching gem5's
+ * picosecond ticks at 1 GHz) so the traces feed gem5's
  * o3-pipeview.py as well as the bundled tools/vca_pipeview renderer.
  * Records appear in commit order; squashed instructions never retire
  * and are not recorded.
@@ -31,6 +31,9 @@
 #include "sim/types.hh"
 
 namespace vca::trace {
+
+/** Trace ticks per simulated cycle in the traces this writes. */
+constexpr Cycle kTicksPerCycle = 1000;
 
 /** Stage timestamps (in cycles) of one committed instruction. */
 struct PipeRecord
@@ -63,9 +66,7 @@ struct PipeRecord
 class PipeTraceWriter
 {
   public:
-    explicit PipeTraceWriter(std::ostream &os,
-                             Cycle ticksPerCycle = 1000)
-        : os_(os), scale_(ticksPerCycle) {}
+    explicit PipeTraceWriter(std::ostream &os) : os_(os) {}
 
     void write(const PipeRecord &rec);
 
@@ -85,7 +86,6 @@ class PipeTraceWriter
 
   private:
     std::ostream &os_;
-    Cycle scale_;
     std::uint64_t written_ = 0;
     std::uint64_t instants_ = 0;
 };
@@ -93,13 +93,14 @@ class PipeTraceWriter
 /**
  * Parse an O3PipeView trace back into records (tools, tests).
  * Unrelated lines are skipped; a malformed record sets *error and
- * returns false. Ticks are divided by ticksPerCycle. O3PipeView lines
+ * returns false. Ticks are divided by ticksPerCycle (gem5 traces
+ * may use another scale than kTicksPerCycle). O3PipeView lines
  * of unknown record type (e.g. "instant" telemetry marks) are skipped
  * and counted into *unknownRecords when given.
  */
 bool parsePipeTrace(std::istream &is, std::vector<PipeRecord> &out,
                     std::string *error = nullptr,
-                    Cycle ticksPerCycle = 1000,
+                    Cycle ticksPerCycle = kTicksPerCycle,
                     std::uint64_t *unknownRecords = nullptr);
 
 } // namespace vca::trace

@@ -3,17 +3,18 @@
 #
 # Invoked by ctest (see CMakeLists.txt) with:
 #   PROGRAM   the tool binary
-#   ARG       the one offending argument
+#   ARGS      the offending arguments, separated by spaces
 #   MATCH     text stderr must contain
 
+separate_arguments(argv UNIX_COMMAND "${ARGS}")
 execute_process(
-    COMMAND "${PROGRAM}" "${ARG}"
+    COMMAND "${PROGRAM}" ${argv}
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 2)
     message(FATAL_ERROR
-            "${PROGRAM} ${ARG} exited ${rc}, want 2:\n${out}\n${err}")
+            "${PROGRAM} ${ARGS} exited ${rc}, want 2:\n${out}\n${err}")
 endif()
 string(FIND "${err}" "${MATCH}" at)
 if(at EQUAL -1)

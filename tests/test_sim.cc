@@ -113,6 +113,44 @@ TEST(Options, MalformedNumbersAreFatalAndNameTheOption)
     }
 }
 
+TEST(Options, BooleanGetterAcceptsEverySpelling)
+{
+    for (const char *yes : {"true", "1", "yes", "on"}) {
+        Options o;
+        o.add("flag", "false", "");
+        const std::string arg = std::string("--flag=") + yes;
+        const char *argv[] = {"prog", arg.c_str()};
+        ASSERT_TRUE(o.parse(2, argv));
+        EXPECT_TRUE(o.getBool("flag")) << yes;
+    }
+    for (const char *no : {"false", "0", "no", "off"}) {
+        Options o;
+        o.add("flag", "true", "");
+        const std::string arg = std::string("--flag=") + no;
+        const char *argv[] = {"prog", arg.c_str()};
+        ASSERT_TRUE(o.parse(2, argv));
+        EXPECT_FALSE(o.getBool("flag")) << no;
+    }
+}
+
+TEST(Options, MalformedBooleansAreFatalAndNameTheOption)
+{
+    for (const char *bad : {"enable", "TRUE", "", "2", "y", "auto"}) {
+        Options o;
+        o.add("dead-hints", "false", "");
+        const std::string arg = std::string("--dead-hints=") + bad;
+        const char *argv[] = {"prog", arg.c_str()};
+        ASSERT_TRUE(o.parse(2, argv));
+        try {
+            o.getBool("dead-hints");
+            ADD_FAILURE() << "getBool accepted '" << bad << "'";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("--dead-hints"),
+                      std::string::npos);
+        }
+    }
+}
+
 TEST(Options, UsageListsEverything)
 {
     Options o;
@@ -227,9 +265,7 @@ TEST(Tracer, EmitsBoundedReadableLines)
     cpu::OooCpu cpu(params, {prog});
 
     std::ostringstream os;
-    cpu::TraceOptions topts;
-    topts.maxInsts = 25;
-    cpu::attachCommitTracer(cpu, os, topts);
+    cpu::attachCommitTracer(cpu, os, 25);
     cpu.run(1000, 500'000);
 
     const std::string text = os.str();

@@ -14,15 +14,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/experiment.hh"
 #include "cpu/ooo_cpu.hh"
+#include "cpu/tracer.hh"
 #include "stats/statistics.hh"
 #include "telemetry/chrome_trace.hh"
 #include "telemetry/pipeline_trace.hh"
@@ -237,14 +241,13 @@ TEST(RegCacheAnalyzer, AccessesUpdateRecencyAndShadowHits)
 TEST(RegCacheAnalyzer, BurstWindowsFlushIntoHistograms)
 {
     stats::StatGroup root("cpu");
-    auto cfg = tinyShadow(8);
-    cfg.burstWindowCycles = 16;
-    RegCacheAnalyzer a(cfg, nullptr, &root);
+    RegCacheAnalyzer a(tinyShadow(8), nullptr, &root);
     a.onCycle(0);
     a.onFill(0x100);
     a.onFill(0x108);
     a.onSpill(0x200);
-    a.onCycle(64); // crosses several windows: flush
+    // Crosses several windows: flush.
+    a.onCycle(3 * RegCacheAnalyzer::kBurstWindowCycles);
     EXPECT_GE(a.fillBurst.totalSamples(), 1u);
     EXPECT_GE(a.spillBurst.totalSamples(), 1u);
     EXPECT_DOUBLE_EQ(a.fillBurst.maxSampled(), 2.0);
@@ -274,9 +277,6 @@ TEST(RegCacheAnalyzer, RegistersAsStatGroupUnderParent)
 
 TEST(TelemetryEndToEnd, ThreeCClassesPartitionRenamerFills)
 {
-#ifdef VCA_NTELEMETRY
-    GTEST_SKIP() << "probe hooks compiled out (-DVCA_NTELEMETRY=ON)";
-#endif
     const auto &prof = wload::profileByName("crafty");
     const isa::Program *prog = wload::cachedProgram(prof, true);
     cpu::CpuParams params =
@@ -365,9 +365,6 @@ goldenTelemetryCounters()
 
 TEST(TelemetryGolden, CountersMatchCheckedInNumbers)
 {
-#ifdef VCA_NTELEMETRY
-    GTEST_SKIP() << "probe hooks compiled out (-DVCA_NTELEMETRY=ON)";
-#endif
     const std::string path =
         std::string(VCA_GOLDEN_DIR) + "/telemetry.json";
     const auto counters = goldenTelemetryCounters();
@@ -417,9 +414,7 @@ TEST(ChromeSimTracer, EmitsBalancedSlicesForTinyRun)
     {
         cpu::OooCpu cpu(params, {prog});
         ChromeTraceWriter writer(path);
-        telemetry::ChromeSimTraceOptions opts;
-        opts.maxInsts = 500;
-        telemetry::attachChromeSimTracer(cpu, writer, opts);
+        telemetry::attachChromeSimTracer(cpu, writer, 500);
         cpu.run(2'000, 200'000);
         ASSERT_TRUE(writer.finish());
         EXPECT_GT(writer.eventCount(), 0u);
@@ -442,6 +437,65 @@ TEST(ChromeSimTracer, EmitsBalancedSlicesForTinyRun)
     for (const auto &[key, d] : depth)
         EXPECT_EQ(d, 0);
     std::filesystem::remove(path);
+}
+
+TEST(ChromeSimTracer, TransferWindowsMatchPipeViewInstants)
+{
+    // The O3PipeView "transfers" instants and the Chrome "vca
+    // transfers" counter bucket the same Spill/Fill events into the
+    // same windows: every nonzero counter sample is one instant.
+    const std::string path = tempTracePath("transfer_windows");
+    const auto &prof = wload::profileByName("crafty");
+    const isa::Program *prog = wload::cachedProgram(prof, true);
+    cpu::CpuParams params =
+        cpu::CpuParams::preset(cpu::RenamerKind::Vca, 192);
+    std::ostringstream pipe;
+    {
+        cpu::OooCpu cpu(params, {prog});
+        ChromeTraceWriter writer(path);
+        cpu::attachPipeTracer(cpu, pipe, 0, true);
+        telemetry::attachChromeSimTracer(cpu, writer, 1);
+        cpu.run(20'000, 2'000'000);
+        ASSERT_TRUE(writer.finish());
+    }
+
+    using Window = std::tuple<Cycle, unsigned, unsigned>;
+    std::vector<Window> fromPipe;
+    std::istringstream lines(pipe.str());
+    std::string line;
+    const std::string prefix = "O3PipeView:instant:";
+    while (std::getline(lines, line)) {
+        if (line.rfind(prefix, 0) != 0)
+            continue;
+        unsigned long long tick = 0;
+        unsigned spills = 0;
+        unsigned fills = 0;
+        if (std::sscanf(line.c_str() + prefix.size(),
+                        "%llu:transfers spills=%u fills=%u", &tick,
+                        &spills, &fills) == 3)
+            fromPipe.emplace_back(Cycle(tick / 1000), spills, fills);
+    }
+
+    std::vector<Window> fromChrome;
+    const auto doc = trace::JsonValue::parse(slurp(path));
+    const auto *events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    for (size_t i = 0; i < events->size(); ++i) {
+        const auto &ev = events->at(i);
+        if (ev.find("ph")->asString() != "C" ||
+            ev.find("name")->asString() != "vca transfers")
+            continue;
+        const auto *args = ev.find("args");
+        const auto spills = unsigned(args->find("spills")->asNumber());
+        const auto fills = unsigned(args->find("fills")->asNumber());
+        if (spills + fills)
+            fromChrome.emplace_back(Cycle(ev.find("ts")->asNumber()),
+                                    spills, fills);
+    }
+    std::filesystem::remove(path);
+
+    EXPECT_GT(fromPipe.size(), 10u) << "crafty/192 must spill and fill";
+    EXPECT_EQ(fromPipe, fromChrome);
 }
 
 } // namespace

@@ -92,10 +92,8 @@ TEST_F(TraceTest, FlagHelpListsEveryFlag)
 }
 
 // ---------------------------------------------------------------------
-// DPRINTF gating and formatting (compiled out under VCA_NTRACE)
+// DPRINTF gating and formatting
 // ---------------------------------------------------------------------
-
-#ifndef VCA_NTRACE
 
 TEST_F(TraceTest, DprintfIsGatedByItsFlag)
 {
@@ -127,8 +125,6 @@ TEST_F(TraceTest, DprintftStampsThread)
     DPRINTFT(Squash, 3, "flush after seq=%d", 17);
     EXPECT_EQ(text(), "9: T3: Squash: flush after seq=17\n");
 }
-
-#endif // !VCA_NTRACE
 
 // ---------------------------------------------------------------------
 // O3PipeView records

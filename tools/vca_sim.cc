@@ -168,10 +168,7 @@ simMain(int argc, char **argv)
              "write the statistics tree as JSON to this file");
     opts.add("interval", "0",
              "record an IPC/stall interval every N committed insts "
-             "(exported via --stats-json)");
-    opts.add("stat-sample-interval", "1",
-             "sample ROB/IQ occupancy distributions every N cycles "
-             "(1 = exact; larger trades histogram detail for speed)");
+             "(exported via --stats-json; detailed mode only)");
     opts.add("sweep-regs", "",
              "sweep mode: comma list of register file sizes, run in "
              "parallel with on-disk memoization (see VCA_JOBS / "
@@ -236,7 +233,10 @@ simMain(int argc, char **argv)
     const auto benchNames = splitCommas(opts.get("bench"));
     if (benchNames.empty())
         fatal("--bench must name at least one benchmark");
-    const std::string windowsOpt = opts.get("windows");
+    // --windows=auto picks the binary each architecture runs in the
+    // paper; anything else forces it for every architecture.
+    const bool windowsAuto = opts.get("windows") == "auto";
+    const bool windowsForced = !windowsAuto && opts.getBool("windows");
 
     analysis::SimMode simMode;
     if (!analysis::parseSimMode(opts.get("mode"), simMode))
@@ -244,14 +244,14 @@ simMain(int argc, char **argv)
               opts.get("mode").c_str());
     if (simMode != analysis::SimMode::Detailed) {
         // Instruction-granular observers (pipeline traces, commit
-        // traces, DPRINTF, register telemetry) attach to the one
-        // long-lived core a detailed run measures; the sampled modes
-        // run many short cores, so combining them would be a silent
-        // no-op at best. Error out naming the offending flag.
-        // Aggregate observability (--stats, --stats-json, --interval,
-        // --chrome-trace) works in every mode: sampled runs export the
-        // sampling confidence layer instead of the cpu tree, and
-        // chrome traces carry a sample-timeline lane.
+        // traces, DPRINTF, register telemetry, interval records)
+        // attach to the one long-lived core a detailed run measures;
+        // the sampled modes run many short cores, so combining them
+        // would be a silent no-op at best. Error out naming the
+        // offending flag. Aggregate observability (--stats,
+        // --stats-json, --chrome-trace) works in every mode: sampled
+        // runs export the sampling confidence layer instead of the cpu
+        // tree, and chrome traces carry a sample-timeline lane.
         const char *conflict = nullptr;
         if (!opts.get("pipeview").empty())
             conflict = "--pipeview";
@@ -263,6 +263,8 @@ simMain(int argc, char **argv)
             conflict = "--reg-telemetry";
         else if (!opts.get("debug-flags").empty())
             conflict = "--debug-flags";
+        else if (opts.getU64("interval") > 0)
+            conflict = "--interval";
         if (conflict) {
             fatal("%s requires --mode=detailed (it observes a single "
                   "detailed core)", conflict);
@@ -294,9 +296,8 @@ simMain(int argc, char **argv)
             for (unsigned regs : sizes) {
                 analysis::SweepPoint p;
                 p.benches = benchNames;
-                p.windowed = windowsOpt == "auto"
-                    ? analysis::usesWindowedBinary(arch)
-                    : (windowsOpt == "true" || windowsOpt == "1");
+                p.windowed = windowsAuto ? analysis::usesWindowedBinary(arch)
+                                         : windowsForced;
                 p.kind = arch;
                 p.physRegs = regs;
                 p.opts = runOpts;
@@ -307,9 +308,8 @@ simMain(int argc, char **argv)
         {
             // CLI flags override the environment-seeded defaults.
             analysis::RobustConfig robust = runner.robust();
-            const std::string isolate = opts.get("isolate");
-            if (isolate != "auto")
-                robust.isolate = isolate == "true" || isolate == "1";
+            if (opts.get("isolate") != "auto")
+                robust.isolate = opts.getBool("isolate");
             if (!opts.get("point-timeout").empty()) {
                 robust.pointTimeoutSec = opts.getDouble("point-timeout");
                 if (robust.pointTimeoutSec < 0)
@@ -403,9 +403,8 @@ simMain(int argc, char **argv)
     }
 
     const cpu::RenamerKind kind = parseArch(opts.get("arch"));
-    const bool windowed = windowsOpt == "auto"
-        ? analysis::usesWindowedBinary(kind)
-        : (windowsOpt == "true" || windowsOpt == "1");
+    const bool windowed =
+        windowsAuto ? analysis::usesWindowedBinary(kind) : windowsForced;
 
     std::vector<const isa::Program *> programs;
     for (const std::string &name : benchNames) {
@@ -597,17 +596,12 @@ simMain(int argc, char **argv)
             static_cast<unsigned>(opts.getU64("table-assoc"));
     }
     params.vcaDeadValueHints = opts.getBool("dead-hints");
-    params.statSampleInterval =
-        static_cast<unsigned>(opts.getU64("stat-sample-interval"));
 
     try {
         const auto hostStart = std::chrono::steady_clock::now();
         cpu::OooCpu cpu(params, programs);
-        if (opts.getU64("trace") > 0) {
-            cpu::TraceOptions traceOpts;
-            traceOpts.maxInsts = opts.getU64("trace");
-            cpu::attachCommitTracer(cpu, std::cout, traceOpts);
-        }
+        if (opts.getU64("trace") > 0)
+            cpu::attachCommitTracer(cpu, std::cout, opts.getU64("trace"));
         std::ofstream pipeFile;
         if (!opts.get("pipeview").empty()) {
             pipeFile.open(opts.get("pipeview"));
@@ -622,10 +616,8 @@ simMain(int argc, char **argv)
         if (!opts.get("chrome-trace").empty()) {
             chromeWriter = std::make_unique<telemetry::ChromeTraceWriter>(
                 opts.get("chrome-trace"));
-            telemetry::ChromeSimTraceOptions simTraceOpts;
-            simTraceOpts.maxInsts = opts.getU64("chrome-trace-insts");
-            telemetry::attachChromeSimTracer(cpu, *chromeWriter,
-                                             simTraceOpts);
+            telemetry::attachChromeSimTracer(
+                cpu, *chromeWriter, opts.getU64("chrome-trace-insts"));
         }
         std::unique_ptr<telemetry::RegCacheAnalyzer> regAnalyzer;
         if (opts.getBool("reg-telemetry")) {
